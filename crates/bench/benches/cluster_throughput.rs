@@ -25,9 +25,9 @@ use lantern_cluster::{serve_cluster, ClusterConfig};
 use lantern_core::RuleTranslator;
 use lantern_gen::{FormatMix, GenConfig, PlanGenerator};
 use lantern_pool::default_mssql_store;
-use lantern_serve::{serve_node, HttpClient, ServeConfig, ServerHandle};
+use lantern_serve::{serve, HttpClient, Router, RouterParts, ServeConfig, ServerHandle};
 use lantern_text::json::JsonValue;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,18 +43,24 @@ fn boot_replica() -> ServerHandle {
             ..CacheConfig::default()
         },
     ));
-    serve_node(
-        Arc::clone(&cached),
-        Some(cached),
-        None,
-        None,
-        "127.0.0.1:0",
-        ServeConfig {
-            workers: 2,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("replica boots")
+    let config = two_workers();
+    let parts = RouterParts {
+        cache: Some(cached.clone()),
+        ..RouterParts::default()
+    };
+    let router = Router::with_parts(cached, parts, &config);
+    serve(router, ephemeral(), config).expect("replica boots")
+}
+
+fn two_workers() -> ServeConfig {
+    ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    }
+}
+
+fn ephemeral() -> TcpListener {
+    TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port")
 }
 
 /// Drive every document through one connection; returns requests/sec.
@@ -115,11 +121,11 @@ fn main() {
     let coordinator = serve_cluster(
         ClusterConfig {
             replicas: replicas.iter().map(|r| r.addr()).collect(),
-            workers: 2,
             connect_timeout: Duration::from_millis(500),
             ..ClusterConfig::default()
         },
-        "127.0.0.1:0",
+        ephemeral(),
+        two_workers(),
     )
     .expect("coordinator boots");
     let cluster_rps = drive(coordinator.addr(), &docs);

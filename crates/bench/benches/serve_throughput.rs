@@ -23,10 +23,35 @@
 use lantern_bench::{bench_scale, tpch_workload, BenchContext, TableReport};
 use lantern_core::{NarrationRequest, RuleTranslator, Translator};
 use lantern_plan::plan_to_pg_json;
-use lantern_serve::{serve, HttpClient, ServeConfig};
+use lantern_serve::{serve, HttpClient, Router, RouterParts, ServeConfig, ServerHandle};
 use lantern_text::json::JsonValue;
 use std::hint::black_box;
+use std::net::TcpListener;
 use std::time::Instant;
+
+/// Metrics-on and metrics-off trials each, interleaved on, off, on,
+/// off, … so drift on the host lands on both sides alike.
+const OVERHEAD_TRIALS: usize = 5;
+
+/// A rule-backend node under `config` on an ephemeral port.
+fn boot(translator: RuleTranslator, config: ServeConfig) -> ServerHandle {
+    let router = Router::with_parts(translator, RouterParts::default(), &config);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    serve(router, listener, config).expect("serve")
+}
+
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
+/// `min..max` of a trial set, for the printed spread.
+fn spread(values: &[f64]) -> String {
+    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    format!("{min:.0}..{max:.0}")
+}
 
 fn main() {
     let ctx = BenchContext::new();
@@ -42,12 +67,10 @@ fn main() {
         JsonValue::Array(docs.iter().cloned().map(JsonValue::String).collect()).to_string_compact();
 
     let rule = RuleTranslator::new(ctx.store.clone());
-    let handle = serve(
+    let handle = boot(
         RuleTranslator::new(ctx.store.clone()),
-        "127.0.0.1:0",
         ServeConfig::default(),
-    )
-    .expect("bind ephemeral port");
+    );
     let mut client = HttpClient::connect(handle.addr()).expect("connect");
 
     let iters = ((200.0 * bench_scale()) as usize).max(20);
@@ -133,31 +156,24 @@ fn main() {
     // C keep-alive connections stay open for the whole measurement;
     // requests round-robin across them with one in flight at a time,
     // so the numbers isolate what holding C live sockets costs the
-    // serving core (readiness bookkeeping on the event path, parked
-    // threads on the legacy path). The legacy path is measured at
-    // C = 1 only: beyond the pool size it parks whole connections on
-    // workers, which is exactly the scaling wall the event loop
-    // removes.
+    // serving core (readiness bookkeeping, not parked threads).
     let sweep_requests = ((1_000.0 * bench_scale()) as usize).max(200);
-    let sweep = |legacy: bool, conns: usize, metrics: bool| -> (u64, u64, f64) {
-        let handle = serve(
+    let sweep = |conns: usize, metrics: bool, requests: usize| -> (u64, u64, f64) {
+        let handle = boot(
             RuleTranslator::new(ctx.store.clone()),
-            "127.0.0.1:0",
             ServeConfig {
                 // Long idle timeout: parked connections must survive
                 // the whole sweep point, not get idle-swept mid-run.
                 read_timeout: std::time::Duration::from_secs(120),
                 max_conns: 2048,
-                legacy_blocking: legacy,
                 metrics,
                 ..ServeConfig::default()
             },
-        )
-        .expect("bind ephemeral port");
+        );
         let mut clients: Vec<HttpClient> = (0..conns)
             .map(|_| HttpClient::connect(handle.addr()).expect("connect"))
             .collect();
-        let requests = sweep_requests.max(conns * 2);
+        let requests = requests.max(conns * 2);
         let mut latencies = Vec::with_capacity(requests);
         let t0 = Instant::now();
         for i in 0..requests {
@@ -180,32 +196,15 @@ fn main() {
         )
     };
 
+    // Every point must sustain its connection count with all-200s (the
+    // sweep asserts each status).
     let mut report = TableReport::new(
         "Keep-alive concurrency sweep, POST /narrate round-robin (µs per request)",
-        &["path", "conns", "p50 µs", "p99 µs", "req/s"],
+        &["conns", "p50 µs", "p99 µs", "req/s"],
     );
-    let (p50, p99, legacy_rps) = sweep(true, 1, true);
-    report.row(&[
-        "legacy blocking".to_string(),
-        "1".to_string(),
-        p50.to_string(),
-        p99.to_string(),
-        format!("{legacy_rps:.0}"),
-    ]);
-    // The high-C points need the event loop; non-Unix targets fall
-    // back to the blocking path where idle connections park workers.
-    #[cfg(unix)]
-    let concurrencies: &[usize] = &[1, 64, 256, 1024];
-    #[cfg(not(unix))]
-    let concurrencies: &[usize] = &[1];
-    let mut event_c1_rps = f64::NAN;
-    for &conns in concurrencies {
-        let (p50, p99, rps) = sweep(false, conns, true);
-        if conns == 1 {
-            event_c1_rps = rps;
-        }
+    for conns in [1, 64, 256, 1024] {
+        let (p50, p99, rps) = sweep(conns, true, sweep_requests);
         report.row(&[
-            "event-driven".to_string(),
             conns.to_string(),
             p50.to_string(),
             p99.to_string(),
@@ -213,55 +212,61 @@ fn main() {
         ]);
     }
     report.print();
-    // Acceptance: the event path must not cost throughput at C = 1
-    // (0.5x guards against CI noise, not a real regression budget),
-    // and must have sustained every high-C point above with all-200s.
-    assert!(
-        event_c1_rps >= 0.5 * legacy_rps,
-        "event path at C=1 ({event_c1_rps:.0} req/s) fell far below \
-         the blocking path ({legacy_rps:.0} req/s)"
-    );
 
     // --- observability overhead guard --------------------------------
     //
     // The tracing layer (per-stage spans, request histograms, request
     // IDs, the slow-request ring) is on by default, so its cost is paid
     // by every request. Measure the same sweep point with and without
-    // it; the instrumented server must hold at least 90% of the bare
-    // server's throughput, or the "observability is effectively free"
-    // claim in docs/OBSERVABILITY.md is broken.
-    #[cfg(unix)]
+    // it, OVERHEAD_TRIALS times each, interleaved, with three times the
+    // sweep's request count per trial. The instrumented server's median
+    // throughput must hold at least 90% of the bare server's median, or
+    // the "observability is effectively free" claim in
+    // docs/OBSERVABILITY.md is broken. One sample per side is too noisy
+    // to gate on: single on/off pairs on a 2-core host have ranged from
+    // 83% to 95%.
     let guard_conns = 64;
-    #[cfg(not(unix))]
-    let guard_conns = 1;
-    let (on_p50, on_p99, rps_on) = sweep(false, guard_conns, true);
-    let (off_p50, off_p99, rps_off) = sweep(false, guard_conns, false);
     let mut report = TableReport::new(
-        "Observability overhead, POST /narrate at fixed concurrency",
-        &["metrics", "conns", "p50 µs", "p99 µs", "req/s"],
+        "Observability overhead, POST /narrate at fixed concurrency (interleaved trials)",
+        &["trial", "metrics", "conns", "p50 µs", "p99 µs", "req/s"],
     );
-    report.row(&[
-        "on".to_string(),
-        guard_conns.to_string(),
-        on_p50.to_string(),
-        on_p99.to_string(),
-        format!("{rps_on:.0}"),
-    ]);
-    report.row(&[
-        "off".to_string(),
-        guard_conns.to_string(),
-        off_p50.to_string(),
-        off_p99.to_string(),
-        format!("{rps_off:.0}"),
-    ]);
+    let mut rps_on = Vec::with_capacity(OVERHEAD_TRIALS);
+    let mut rps_off = Vec::with_capacity(OVERHEAD_TRIALS);
+    for trial in 0..OVERHEAD_TRIALS {
+        for metrics in [true, false] {
+            let (p50, p99, rps) = sweep(guard_conns, metrics, 3 * sweep_requests);
+            if metrics {
+                rps_on.push(rps);
+            } else {
+                rps_off.push(rps);
+            }
+            report.row(&[
+                trial.to_string(),
+                if metrics { "on" } else { "off" }.to_string(),
+                guard_conns.to_string(),
+                p50.to_string(),
+                p99.to_string(),
+                format!("{rps:.0}"),
+            ]);
+        }
+    }
     report.print();
+    let (median_on, median_off) = (median(&rps_on), median(&rps_off));
     println!(
-        "metrics-on throughput at C={guard_conns}: {:.1}% of metrics-off",
-        100.0 * rps_on / rps_off
+        "metrics on:  median {median_on:.0} req/s, spread {} over {OVERHEAD_TRIALS} trials",
+        spread(&rps_on)
+    );
+    println!(
+        "metrics off: median {median_off:.0} req/s, spread {} over {OVERHEAD_TRIALS} trials",
+        spread(&rps_off)
+    );
+    println!(
+        "metrics-on median throughput at C={guard_conns}: {:.1}% of metrics-off",
+        100.0 * median_on / median_off
     );
     assert!(
-        rps_on >= 0.9 * rps_off,
-        "tracing overhead too high: {rps_on:.0} req/s with metrics vs \
-         {rps_off:.0} req/s without at C={guard_conns}"
+        median_on >= 0.9 * median_off,
+        "tracing overhead too high: median {median_on:.0} req/s with metrics vs \
+         {median_off:.0} req/s without at C={guard_conns}"
     );
 }

@@ -1,10 +1,15 @@
 //! The cluster coordinator: a thin HTTP tier that owns no translator,
 //! no cache, and no catalog state beyond the mutation log — it routes.
 //!
+//! The coordinator is a [`Handler`] served by the same event-driven core
+//! as the replicas ([`lantern_serve::serve`]), so it pipelines, sheds
+//! per request with `503`, sweeps idle connections, contains handler
+//! panics, and times the socket `read`/`write` stages exactly like a
+//! replica does.
+//!
 //! Request lifecycle:
 //!
-//! 1. a worker parses the request with the same `lantern-serve` HTTP
-//!    layer the replicas use;
+//! 1. the event core frames the request and hands it to a worker;
 //! 2. the body is reduced to a **shard key** (canonical plan
 //!    fingerprint, memoized by exact text — see [`crate::shard`]);
 //! 3. the key picks an owner on the consistent-hash ring, and the
@@ -29,27 +34,31 @@
 use crate::ring::HashRing;
 use crate::shard::{document_key, group_by_node, item_key, shard_key};
 use lantern_cache::ShardedLru;
-use lantern_obs::{bucket_index, parse_exposition, Recorder, RecorderConfig, BOUNDS, BUCKETS};
+use lantern_obs::{bucket_index, parse_exposition, Recorder, BOUNDS, BUCKETS};
 use lantern_pool::parse_pool;
-use lantern_serve::http::{read_request, write_response, Request, Response, REQUEST_ID_HEADER};
+use lantern_serve::http::{Request, Response, REQUEST_ID_HEADER};
 use lantern_serve::router::error_body_raw;
-use lantern_serve::{ClientConfig, ClientError, ClientErrorKind, ClientResponse, HttpClient};
+use lantern_serve::{
+    serve, ClientConfig, ClientError, ClientErrorKind, ClientResponse, Handler, HttpClient,
+    ServeConfig, ServeStats, ServerHandle,
+};
 use lantern_text::json::JsonValue;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One sub-batch's original item positions paired with the replica's
 /// response (or the transport failure that exhausted its retries).
 type SubBatchResult = (Vec<usize>, Result<ClientResponse, Option<ClientError>>);
 
-/// Tunables for [`serve_cluster`].
+/// Routing tunables for [`serve_cluster`]. How the coordinator serves
+/// its own clients (workers, dispatch queue, body limit, idle timeout,
+/// metrics) comes from the same [`ServeConfig`] a replica uses.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Replica addresses. Order is identity: the ring hashes each
@@ -58,16 +67,6 @@ pub struct ClusterConfig {
     pub replicas: Vec<SocketAddr>,
     /// Virtual nodes per replica on the ring.
     pub virtual_nodes: usize,
-    /// Coordinator worker threads. `0` means `available_parallelism`
-    /// (min 2).
-    pub workers: usize,
-    /// Accepted connections that may queue for a worker before new
-    /// arrivals are shed with `503`.
-    pub queue_depth: usize,
-    /// Largest accepted request body, in bytes.
-    pub max_body_bytes: usize,
-    /// Idle read timeout on client keep-alive connections.
-    pub idle_timeout: Duration,
     /// TCP connect bound per forwarding attempt.
     pub connect_timeout: Duration,
     /// Read bound per forwarding attempt — the failover trigger for a
@@ -82,13 +81,6 @@ pub struct ClusterConfig {
     /// Entries in the shard-key memo (exact request text → ring key);
     /// sized like a replica cache so duplicate traffic skips re-parsing.
     pub route_memo_entries: usize,
-    /// Record request latency and serve `GET /metrics` (the
-    /// coordinator's own histograms plus a bucket-wise merge of every
-    /// replica's scrape). Off, `/metrics` answers 404.
-    pub metrics: bool,
-    /// Capture threshold for the coordinator's slow-request ring
-    /// (`GET /debug/slow`), milliseconds. `0` captures every request.
-    pub slow_log_ms: u64,
 }
 
 impl Default for ClusterConfig {
@@ -96,63 +88,27 @@ impl Default for ClusterConfig {
         ClusterConfig {
             replicas: Vec::new(),
             virtual_nodes: 64,
-            workers: 0,
-            queue_depth: 64,
-            max_body_bytes: 4 * 1024 * 1024,
-            idle_timeout: Duration::from_secs(5),
             connect_timeout: Duration::from_millis(500),
             read_timeout: Duration::from_secs(5),
             retry_backoff: Duration::from_millis(25),
             max_attempts: 3,
             probe_interval: Duration::from_millis(500),
             route_memo_entries: 4096,
-            metrics: true,
-            slow_log_ms: 0,
         }
     }
 }
 
-impl ClusterConfig {
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .max(2)
-    }
-}
-
-/// Coordinator-side counters (replica counters live on the replicas and
-/// are merged by `GET /stats`).
+/// The coordinator's routing counters. Request, connection and
+/// shedding counters live in the coordinator's [`ServeStats`], like on
+/// a replica; replica counters live on the replicas and are merged by
+/// `GET /stats`.
 #[derive(Debug, Default)]
 pub struct ClusterStats {
-    /// TCP connections accepted by the coordinator.
-    pub connections: AtomicU64,
-    /// Requests routed (any endpoint, any outcome).
-    pub requests_total: AtomicU64,
-    /// `POST /narrate` requests.
-    pub narrate_requests: AtomicU64,
-    /// `POST /narrate/batch` requests.
-    pub batch_requests: AtomicU64,
-    /// Entries inside batch envelopes.
-    pub batch_items: AtomicU64,
-    /// `POST /narrate/diff` requests.
-    pub diff_requests: AtomicU64,
-    /// `POST /narrate/diff/batch` requests.
-    pub diff_batch_requests: AtomicU64,
     /// Forwarding attempts that went to a ring successor instead of the
     /// key's owner (each retry counts once).
     pub failovers: AtomicU64,
     /// Requests answered `503` because every candidate replica failed.
     pub unavailable_responses: AtomicU64,
-    /// Connections shed because the worker queue was full.
-    pub shed_requests: AtomicU64,
-    /// Requests for unknown paths.
-    pub not_found: AtomicU64,
-    /// Responses with status ≥ 400.
-    pub error_responses: AtomicU64,
     /// Catalog mutations accepted into the statement log.
     pub catalog_mutations: AtomicU64,
     /// Log-suffix replays pushed to lagging replicas (rejoin path).
@@ -165,32 +121,16 @@ pub struct ClusterStats {
 }
 
 impl ClusterStats {
-    fn to_json_value(&self) -> JsonValue {
-        let mut obj = BTreeMap::new();
-        for (key, value) in [
-            ("connections", &self.connections),
-            ("requests_total", &self.requests_total),
-            ("narrate_requests", &self.narrate_requests),
-            ("batch_requests", &self.batch_requests),
-            ("batch_items", &self.batch_items),
-            ("diff_requests", &self.diff_requests),
-            ("diff_batch_requests", &self.diff_batch_requests),
+    fn counters(&self) -> [(&'static str, u64); 6] {
+        [
             ("failovers", &self.failovers),
             ("unavailable_responses", &self.unavailable_responses),
-            ("shed_requests", &self.shed_requests),
-            ("not_found", &self.not_found),
-            ("error_responses", &self.error_responses),
             ("catalog_mutations", &self.catalog_mutations),
             ("catalog_replays", &self.catalog_replays),
             ("catalog_broadcast_errors", &self.catalog_broadcast_errors),
             ("probe_cycles", &self.probe_cycles),
-        ] {
-            obj.insert(
-                key.to_string(),
-                JsonValue::Number(value.load(Ordering::Relaxed) as f64),
-            );
-        }
-        JsonValue::Object(obj)
+        ]
+        .map(|(key, value)| (key, value.load(Ordering::Relaxed)))
     }
 }
 
@@ -214,7 +154,9 @@ struct Coordinator {
     config: ClusterConfig,
     ring: HashRing,
     replicas: Vec<Replica>,
-    stats: Arc<ClusterStats>,
+    /// Serving counters, shared with the event core.
+    stats: Arc<ServeStats>,
+    routing: Arc<ClusterStats>,
     /// Exact request text → shard key, so the 75%-duplicate classroom
     /// workload parses each distinct plan once at the routing tier.
     route_memo: ShardedLru<u128>,
@@ -222,7 +164,6 @@ struct Coordinator {
     /// number `i + 1`.
     catalog_log: Mutex<Vec<String>>,
     client_config: ClientConfig,
-    started: Instant,
     /// Request latency + slow-ring recorder for the coordinator's own
     /// hop (replica-side time is scraped, not re-measured here).
     obs: Arc<Recorder>,
@@ -289,7 +230,7 @@ fn encode_query(query: &[(String, String)]) -> String {
 }
 
 impl Coordinator {
-    fn new(config: ClusterConfig) -> Coordinator {
+    fn new(config: ClusterConfig, serve_config: &ServeConfig) -> Coordinator {
         let names: Vec<String> = config.replicas.iter().map(|a| a.to_string()).collect();
         let ring = HashRing::new(&names, config.virtual_nodes);
         let replicas = config
@@ -313,19 +254,15 @@ impl Coordinator {
             // Entries are 16-byte values; bound by entries, not bytes.
             u64::MAX,
         );
-        let obs = Arc::new(Recorder::new(RecorderConfig {
-            enabled: config.metrics,
-            slow_log_ms: config.slow_log_ms,
-            ..RecorderConfig::default()
-        }));
+        let (stats, obs) = serve_config.instruments();
         Coordinator {
             ring,
             replicas,
-            stats: Arc::new(ClusterStats::default()),
+            stats,
+            routing: Arc::new(ClusterStats::default()),
             route_memo,
             catalog_log: Mutex::new(Vec::new()),
             client_config,
-            started: Instant::now(),
             obs,
             config,
         }
@@ -430,7 +367,7 @@ impl Coordinator {
         let mut last = None;
         for (attempt, node) in self.candidates(key).into_iter().enumerate() {
             if attempt > 0 {
-                self.stats.failovers.fetch_add(1, Ordering::Relaxed);
+                self.routing.failovers.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(self.config.retry_backoff);
             }
             match self.exchange(node, method, path, body) {
@@ -463,7 +400,7 @@ impl Coordinator {
     }
 
     fn unavailable(&self, err: Option<ClientError>) -> Response {
-        self.stats
+        self.routing
             .unavailable_responses
             .fetch_add(1, Ordering::Relaxed);
         let message = match err {
@@ -482,27 +419,6 @@ impl Coordinator {
         let key = shard_key(doc);
         self.route_memo.insert(memo_key, key, 16);
         key
-    }
-
-    /// Dispatch one parsed request. Mirrors the replica router's
-    /// observability contract: one `x-lantern-request-id` per request
-    /// (kept when the client sent one, minted otherwise), installed as
-    /// the thread's active id so [`Coordinator::exchange`] propagates
-    /// it to replicas, echoed on the response, and traced into the
-    /// coordinator's own latency histograms and slow ring.
-    fn handle(&self, req: &Request) -> Response {
-        self.stats.requests_total.fetch_add(1, Ordering::Relaxed);
-        let id = match req.header(REQUEST_ID_HEADER) {
-            Some(id) if !id.is_empty() => id.to_string(),
-            _ => self.obs.mint_id(),
-        };
-        ACTIVE_REQUEST_ID.with(|cell| *cell.borrow_mut() = Some(id.clone()));
-        let trace = self.obs.begin(id, &req.path);
-        let response = self.dispatch(req);
-        ACTIVE_REQUEST_ID.with(|cell| *cell.borrow_mut() = None);
-        let response = response.with_request_id(trace.id());
-        trace.finish(response.status);
-        response
     }
 
     fn dispatch(&self, req: &Request) -> Response {
@@ -671,7 +587,7 @@ impl Coordinator {
                     indices.iter().for_each(|&i| slots[i] = Some(err.clone()));
                 }
                 Err(err) => {
-                    self.stats
+                    self.routing
                         .unavailable_responses
                         .fetch_add(1, Ordering::Relaxed);
                     let message = match err {
@@ -756,7 +672,7 @@ impl Coordinator {
         obj.insert("replicas".to_string(), JsonValue::Array(replicas));
         obj.insert(
             "uptime_ms".to_string(),
-            JsonValue::Number(self.started.elapsed().as_millis() as f64),
+            JsonValue::Number(self.stats.uptime().as_millis() as f64),
         );
         Response::json(200, JsonValue::Object(obj).to_string_compact())
     }
@@ -813,7 +729,7 @@ impl Coordinator {
         // fold them into the aggregate shed count so "sent - answered"
         // adds up from the client's point of view.
         let coordinator_shed = self.stats.shed_requests.load(Ordering::Relaxed)
-            + self.stats.unavailable_responses.load(Ordering::Relaxed);
+            + self.routing.unavailable_responses.load(Ordering::Relaxed);
         *totals.entry("shed_requests".to_string()).or_insert(0.0) += coordinator_shed as f64;
         let mut body: BTreeMap<String, JsonValue> = totals
             .into_iter()
@@ -830,8 +746,13 @@ impl Coordinator {
                 ),
             );
         }
-        let mut coordinator = self.stats.to_json_value();
+        // The coordinator's own counters: the serving set a replica
+        // reports, plus routing counters and the route memo.
+        let mut coordinator = self.stats.snapshot().to_json_value();
         if let JsonValue::Object(obj) = &mut coordinator {
+            for (key, value) in self.routing.counters() {
+                obj.insert(key.to_string(), JsonValue::Number(value as f64));
+            }
             let memo = self.route_memo.stats();
             let mut route = BTreeMap::new();
             route.insert("hits".to_string(), JsonValue::Number(memo.hits as f64));
@@ -841,10 +762,6 @@ impl Coordinator {
                 JsonValue::Number(memo.entries as f64),
             );
             obj.insert("route_memo".to_string(), JsonValue::Object(route));
-            obj.insert(
-                "uptime_ms".to_string(),
-                JsonValue::Number(self.started.elapsed().as_millis() as f64),
-            );
         }
         body.insert("coordinator".to_string(), coordinator);
         body.insert("replicas".to_string(), JsonValue::Array(replicas));
@@ -872,23 +789,13 @@ impl Coordinator {
             merge.fold(&scrape, &[("replica", addr.as_str())]);
         }
         let registry = self.obs.registry();
-        if let JsonValue::Object(obj) = self.stats.to_json_value() {
-            for (key, value) in &obj {
-                let JsonValue::Number(n) = value else {
-                    continue;
-                };
-                registry.set_counter(
-                    &format!("lantern_cluster_{key}"),
-                    &[("node", "coordinator")],
-                    *n as u64,
-                );
-            }
+        let labels = [("node", "coordinator")];
+        self.stats
+            .snapshot()
+            .export(registry, "lantern_cluster_", &labels);
+        for (key, value) in self.routing.counters() {
+            registry.set_counter(&format!("lantern_cluster_{key}"), &labels, value);
         }
-        registry.set_gauge(
-            "lantern_cluster_uptime_seconds",
-            &[("node", "coordinator")],
-            self.started.elapsed().as_secs(),
-        );
         merge.fold(&self.obs.render_prometheus(&[("node", "coordinator")]), &[]);
         Response::text(200, merge.render())
     }
@@ -957,7 +864,9 @@ impl Coordinator {
         if let Err(e) = parse_pool(statement) {
             return json_error("pool", &format!("statement does not parse: {e}"), 400);
         }
-        self.stats.catalog_mutations.fetch_add(1, Ordering::Relaxed);
+        self.routing
+            .catalog_mutations
+            .fetch_add(1, Ordering::Relaxed);
         let seq = {
             let mut log = lock(&self.catalog_log);
             log.push(statement.to_string());
@@ -1025,7 +934,7 @@ impl Coordinator {
                 match self.replay_suffix(node) {
                     Ok(()) => "replayed".to_string(),
                     Err(message) => {
-                        self.stats
+                        self.routing
                             .catalog_broadcast_errors
                             .fetch_add(1, Ordering::Relaxed);
                         message
@@ -1033,13 +942,13 @@ impl Coordinator {
                 }
             }
             Ok(resp) => {
-                self.stats
+                self.routing
                     .catalog_broadcast_errors
                     .fetch_add(1, Ordering::Relaxed);
                 format!("rejected with status {} at seq {seq}", resp.status)
             }
             Err(e) => {
-                self.stats
+                self.routing
                     .catalog_broadcast_errors
                     .fetch_add(1, Ordering::Relaxed);
                 format!("unreachable: {e}")
@@ -1088,7 +997,7 @@ impl Coordinator {
         let envelope = apply_envelope(applied + 1, suffix);
         match self.exchange(node, "POST", "/catalog/apply", Some(&envelope)) {
             Ok(resp) if resp.status == 200 => {
-                self.stats.catalog_replays.fetch_add(1, Ordering::Relaxed);
+                self.routing.catalog_replays.fetch_add(1, Ordering::Relaxed);
                 self.record_catalog_ack(node, &resp);
                 Ok(())
             }
@@ -1154,7 +1063,7 @@ impl Coordinator {
                 Err(_) => {}
             }
         }
-        self.stats.probe_cycles.fetch_add(1, Ordering::Relaxed);
+        self.routing.probe_cycles.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1359,7 +1268,7 @@ fn merged_label_block(
 /// replica's backpressure reaches the real client, and the replica's
 /// `x-lantern-request-id` echo survives so the client sees the same id
 /// the replica logged ([`Response::with_request_id`] in
-/// [`Coordinator::handle`] only adds the header when absent).
+/// the coordinator's `handle` only adds the header when absent).
 fn passthrough(resp: ClientResponse) -> Response {
     let retry = resp.header("retry-after").map(str::to_string);
     let request_id = resp.header(REQUEST_ID_HEADER).map(str::to_string);
@@ -1373,14 +1282,42 @@ fn passthrough(resp: ClientResponse) -> Response {
     out
 }
 
+impl Handler for Coordinator {
+    /// Dispatch one parsed request. Mirrors the replica router's
+    /// observability contract: one `x-lantern-request-id` per request
+    /// (kept when the client sent one, minted otherwise), installed as
+    /// the thread's active id so [`Coordinator::exchange`] propagates
+    /// it to replicas, echoed on the response, and traced into the
+    /// coordinator's own latency histograms and slow ring.
+    fn handle(&self, req: &Request) -> Response {
+        let _in_flight = self.stats.begin_request();
+        let id = match req.header(REQUEST_ID_HEADER) {
+            Some(id) if !id.is_empty() => id.to_string(),
+            _ => self.obs.mint_id(),
+        };
+        ACTIVE_REQUEST_ID.with(|cell| *cell.borrow_mut() = Some(id.clone()));
+        let trace = self.obs.begin(id, &req.path);
+        let response = self.dispatch(req);
+        ACTIVE_REQUEST_ID.with(|cell| *cell.borrow_mut() = None);
+        let response = response.with_request_id(trace.id());
+        trace.finish(response.status);
+        response
+    }
+    fn stats(&self) -> &Arc<ServeStats> {
+        &self.stats
+    }
+    fn obs(&self) -> &Arc<Recorder> {
+        &self.obs
+    }
+}
+
 /// Handle to a running coordinator. Dropping it shuts the cluster tier
 /// down (the replicas are not owned and keep running).
 pub struct ClusterHandle {
+    server: Option<ServerHandle>,
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<ClusterStats>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    routing: Arc<ClusterStats>,
+    stop_probe: Arc<AtomicBool>,
     probe_thread: Option<JoinHandle<()>>,
 }
 
@@ -1388,7 +1325,6 @@ impl std::fmt::Debug for ClusterHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterHandle")
             .field("addr", &self.addr)
-            .field("workers", &self.workers.len())
             .finish_non_exhaustive()
     }
 }
@@ -1399,9 +1335,9 @@ impl ClusterHandle {
         self.addr
     }
 
-    /// The coordinator's own counters (live, not a snapshot).
+    /// The coordinator's routing counters (live, not a snapshot).
     pub fn stats(&self) -> &ClusterStats {
-        &self.stats
+        &self.routing
     }
 
     /// Stop accepting, drain, and join every coordinator thread.
@@ -1410,32 +1346,16 @@ impl ClusterHandle {
     }
 
     fn shutdown_inner(&mut self) -> io::Result<()> {
-        if self.accept_thread.is_none() {
-            return Ok(());
-        }
-        self.shutdown.store(true, Ordering::SeqCst);
-        let mut poke_addr = self.addr;
-        if poke_addr.ip().is_unspecified() {
-            poke_addr.set_ip(match poke_addr {
-                SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        let _ = TcpStream::connect_timeout(&poke_addr, Duration::from_secs(1));
-        if let Some(t) = self.accept_thread.take() {
-            t.join()
-                .map_err(|_| io::Error::other("accept thread panicked"))?;
-        }
-        for worker in self.workers.drain(..) {
-            worker
-                .join()
-                .map_err(|_| io::Error::other("worker thread panicked"))?;
-        }
+        let served = match self.server.take() {
+            Some(server) => server.shutdown(),
+            None => return Ok(()),
+        };
+        self.stop_probe.store(true, Ordering::SeqCst);
         if let Some(t) = self.probe_thread.take() {
             t.join()
                 .map_err(|_| io::Error::other("probe thread panicked"))?;
         }
-        Ok(())
+        served
     }
 }
 
@@ -1445,81 +1365,40 @@ impl Drop for ClusterHandle {
     }
 }
 
-/// Boot a coordinator on `addr` fronting `config.replicas`.
+/// Serve a coordinator on `listener`, fronting `config.replicas`, with
+/// the serving core set up by `serve_config` — the same [`ServeConfig`]
+/// a replica takes.
 ///
-/// Returns once the listener, worker pool, and probe loop are up. The
-/// replicas are expected to be `lantern-serve` nodes (narrate + stats
-/// surfaces; catalog and cache surfaces optional — probing degrades
-/// gracefully without them).
-pub fn serve_cluster(config: ClusterConfig, addr: impl ToSocketAddrs) -> io::Result<ClusterHandle> {
+/// Returns once the event loop, the worker pool, and the probe loop are
+/// up. The replicas are expected to be `lantern-serve` nodes (narrate +
+/// stats surfaces; catalog and cache surfaces optional — probing
+/// degrades gracefully without them).
+pub fn serve_cluster(
+    config: ClusterConfig,
+    listener: TcpListener,
+    serve_config: ServeConfig,
+) -> io::Result<ClusterHandle> {
     if config.replicas.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "a cluster needs at least one replica address",
         ));
     }
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    let workers = config.effective_workers();
-    let queue_depth = config.queue_depth.max(1);
     let probe_interval = config.probe_interval;
-    let coordinator = Arc::new(Coordinator::new(config));
-    let stats = Arc::clone(&coordinator.stats);
-    let shutdown = Arc::new(AtomicBool::new(false));
-
-    let (sender, receiver) = sync_channel::<TcpStream>(queue_depth);
-    let receiver = Arc::new(Mutex::new(receiver));
-    let mut worker_handles = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let receiver: Arc<Mutex<Receiver<TcpStream>>> = Arc::clone(&receiver);
-        let coordinator = Arc::clone(&coordinator);
-        worker_handles.push(std::thread::spawn(move || loop {
-            let stream = match lock(&receiver).recv() {
-                Ok(stream) => stream,
-                Err(_) => break,
-            };
-            serve_connection(&coordinator, stream);
-        }));
-    }
-
-    let accept_thread = {
-        let shutdown = Arc::clone(&shutdown);
-        let stats = Arc::clone(&stats);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                match sender.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(mut stream)) => {
-                        // Shed at the door: a bounded queue plus an
-                        // immediate 503 beats parking connections the
-                        // workers may never reach.
-                        stats.shed_requests.fetch_add(1, Ordering::Relaxed);
-                        let resp = json_error("unavailable", "coordinator is saturated", 503)
-                            .with_header("Retry-After", "1");
-                        let _ = write_response(&mut stream, &resp, false);
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            // Dropping the sender lets the workers drain and exit.
-        })
-    };
+    let coordinator = Arc::new(Coordinator::new(config, &serve_config));
+    let routing = Arc::clone(&coordinator.routing);
+    let server = serve(Arc::clone(&coordinator), listener, serve_config)?;
+    let stop_probe = Arc::new(AtomicBool::new(false));
 
     let probe_thread = {
-        let shutdown = Arc::clone(&shutdown);
-        let coordinator = Arc::clone(&coordinator);
+        let stop = Arc::clone(&stop_probe);
         std::thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
+            while !stop.load(Ordering::SeqCst) {
                 coordinator.probe_once();
                 // Sleep in short slices so shutdown isn't gated on the
                 // probe period.
                 let mut remaining = probe_interval;
-                while !remaining.is_zero() && !shutdown.load(Ordering::SeqCst) {
+                while !remaining.is_zero() && !stop.load(Ordering::SeqCst) {
                     let slice = remaining.min(Duration::from_millis(20));
                     std::thread::sleep(slice);
                     remaining = remaining.saturating_sub(slice);
@@ -1529,47 +1408,19 @@ pub fn serve_cluster(config: ClusterConfig, addr: impl ToSocketAddrs) -> io::Res
     };
 
     Ok(ClusterHandle {
-        addr: local_addr,
-        shutdown,
-        stats,
-        accept_thread: Some(accept_thread),
-        workers: worker_handles,
+        addr: server.addr(),
+        server: Some(server),
+        routing,
+        stop_probe,
         probe_thread: Some(probe_thread),
     })
-}
-
-/// One client connection: keep-alive request loop in the same wire
-/// dialect the replicas speak.
-fn serve_connection(coordinator: &Coordinator, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(coordinator.config.idle_timeout));
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    loop {
-        match read_request(&mut reader, coordinator.config.max_body_bytes) {
-            Ok(req) => {
-                let response = coordinator.handle(&req);
-                let keep_alive = req.keep_alive;
-                if write_response(&mut stream, &response, keep_alive).is_err() || !keep_alive {
-                    break;
-                }
-            }
-            Err(err) => {
-                if let Some(status) = err.status() {
-                    let response = json_error("http", &err.message(), status);
-                    let _ = write_response(&mut stream, &response, false);
-                }
-                break;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lantern_serve::http::read_request;
+    use std::io::BufReader;
 
     #[test]
     fn query_reencoding_round_trips_through_the_wire_decoder() {
@@ -1589,7 +1440,9 @@ mod tests {
 
     #[test]
     fn empty_replica_list_refuses_to_boot() {
-        let err = serve_cluster(ClusterConfig::default(), "127.0.0.1:0").unwrap_err();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let err =
+            serve_cluster(ClusterConfig::default(), listener, ServeConfig::default()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 

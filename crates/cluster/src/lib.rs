@@ -19,7 +19,8 @@
 //! * [`shard`] — request body → ring key ([`shard_key`]): canonical
 //!   fingerprint for parseable plans, exact-text digest (under a
 //!   routing-only domain) for everything else.
-//! * [`coordinator`] — the HTTP tier itself ([`serve_cluster`]):
+//! * [`coordinator`] — the HTTP tier itself ([`serve_cluster`]), a
+//!   `lantern_serve::Handler` on the same event core as the replicas:
 //!   forwarding with pooled keep-alive connections, health probing,
 //!   retry-with-backoff failover to ring successors, per-shard batch
 //!   splitting with in-order re-stitching, ordered catalog-mutation

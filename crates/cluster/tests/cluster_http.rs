@@ -1,18 +1,19 @@
 //! Socket-level coordinator tests: stats aggregation across replicas
 //! (including a dead one), catalog broadcast with cache-key rollover,
-//! and a lagging replica catching up from the statement log after a
-//! restart.
+//! a lagging replica catching up from the statement log after a
+//! restart, and a held-open keep-alive connection that must not block
+//! other clients of a one-worker coordinator.
 
 use lantern_cache::{CacheConfig, CachedTranslator};
 use lantern_cluster::{serve_cluster, ClusterConfig, ClusterHandle};
 use lantern_core::RuleTranslator;
 use lantern_pool::{default_pg_store, PoemStore};
 use lantern_serve::{
-    reusable_listener, serve_on_listener, CatalogApplied, CatalogApplyError, CatalogControl,
-    HttpClient, ServeConfig, ServerHandle,
+    reusable_listener, serve, CatalogApplied, CatalogApplyError, CatalogControl, HttpClient,
+    Router, RouterParts, ServeConfig, ServerHandle,
 };
 use lantern_text::json::JsonValue;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -87,7 +88,7 @@ impl CatalogControl for TestCatalog {
 /// One booted replica: cached rule translator over its own store, cache
 /// generation keyed on the store version so catalog mutations roll every
 /// cache key at once.
-fn boot_replica_on(listener: std::net::TcpListener) -> ServerHandle {
+fn boot_replica_on(listener: TcpListener) -> ServerHandle {
     let store = default_pg_store();
     let generation_store = store.clone();
     let cached = Arc::new(
@@ -101,38 +102,47 @@ fn boot_replica_on(listener: std::net::TcpListener) -> ServerHandle {
         .with_generation(move || generation_store.version()),
     );
     let catalog = Arc::new(TestCatalog::new(store));
-    serve_on_listener(
-        Arc::clone(&cached),
-        Some(cached),
-        None,
-        Some(catalog),
-        listener,
-        ServeConfig {
-            workers: 2,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("replica boots")
+    let config = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let parts = RouterParts {
+        cache: Some(cached.clone()),
+        catalog: Some(catalog),
+        ..RouterParts::default()
+    };
+    let router = Router::with_parts(cached, parts, &config);
+    serve(router, listener, config).expect("replica boots")
 }
 
 fn boot_replica() -> ServerHandle {
-    boot_replica_on(std::net::TcpListener::bind("127.0.0.1:0").expect("bind"))
+    boot_replica_on(TcpListener::bind("127.0.0.1:0").expect("bind"))
 }
 
-fn boot_coordinator(replicas: Vec<SocketAddr>) -> ClusterHandle {
+fn boot_coordinator_with(replicas: Vec<SocketAddr>, serve_config: ServeConfig) -> ClusterHandle {
     serve_cluster(
         ClusterConfig {
             replicas,
-            workers: 2,
             connect_timeout: Duration::from_millis(250),
             read_timeout: Duration::from_millis(2000),
             retry_backoff: Duration::from_millis(5),
             probe_interval: Duration::from_millis(50),
             ..ClusterConfig::default()
         },
-        "127.0.0.1:0",
+        TcpListener::bind("127.0.0.1:0").expect("bind coordinator"),
+        serve_config,
     )
     .expect("coordinator boots")
+}
+
+fn boot_coordinator(replicas: Vec<SocketAddr>) -> ClusterHandle {
+    boot_coordinator_with(
+        replicas,
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    )
 }
 
 fn plan_doc(relation: &str) -> String {
@@ -468,6 +478,21 @@ fn coordinator_metrics_merge_replicas_bucket_wise_and_request_ids_round_trip() {
     )
     .expect("coordinator's own histogram");
     assert!(own.count >= 14, "coordinator traced its own requests");
+    // The serving core times the coordinator's socket reads and writes
+    // into the same node-labeled family.
+    for socket_stage in ["read", "write"] {
+        let series = snapshot_from_samples(
+            &parsed.samples,
+            METRIC_STAGE_SECONDS,
+            &[("node", "coordinator"), ("stage", socket_stage)],
+        )
+        .unwrap_or_else(|| panic!("coordinator {socket_stage} stage series"));
+        assert!(
+            series.count >= 14,
+            "coordinator timed its {socket_stage}s: {}",
+            series.count
+        );
+    }
 
     coordinator.shutdown().unwrap();
     for replica in replicas {
@@ -533,6 +558,47 @@ fn lagging_replica_catches_up_from_the_log_after_restart() {
 
     coordinator.shutdown().unwrap();
     revived.shutdown().unwrap();
+    for replica in replicas {
+        replica.shutdown().unwrap();
+    }
+}
+
+/// A keep-alive connection is not a worker: with one coordinator
+/// worker, a client holding its connection open between requests must
+/// not delay another client's narration until the idle timeout fires.
+#[test]
+fn held_keep_alive_connection_does_not_block_a_one_worker_coordinator() {
+    let replicas: Vec<ServerHandle> = (0..2).map(|_| boot_replica()).collect();
+    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr()).collect();
+    let coordinator = boot_coordinator_with(
+        addrs,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+
+    // Client A speaks once, then keeps its connection open and idle.
+    let mut a = HttpClient::connect(coordinator.addr()).expect("connect A");
+    assert_eq!(a.get("/healthz").expect("A healthz").status, 200);
+
+    let mut b = HttpClient::connect(coordinator.addr()).expect("connect B");
+    let started = Instant::now();
+    let resp = b
+        .post("/narrate", &plan_doc("held_open_neighbour"))
+        .expect("B narrate");
+    let elapsed = started.elapsed();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "B waited {elapsed:?} behind A's idle keep-alive connection"
+    );
+
+    // A's connection is still usable afterwards.
+    assert_eq!(a.get("/healthz").expect("A again").status, 200);
+    drop(a);
+    drop(b);
+    coordinator.shutdown().unwrap();
     for replica in replicas {
         replica.shutdown().unwrap();
     }

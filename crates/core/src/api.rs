@@ -168,19 +168,6 @@ impl From<CoreError> for LanternError {
     }
 }
 
-impl From<LanternError> for CoreError {
-    /// Lossy back-conversion used by the deprecated facade wrappers,
-    /// which promised `CoreError` before the unified type existed.
-    fn from(e: LanternError) -> Self {
-        match e {
-            LanternError::UnknownOperator { source, op } => {
-                CoreError::UnknownOperator { source, op }
-            }
-            other => CoreError::PlanError(other.to_string()),
-        }
-    }
-}
-
 /// A source-agnostic plan input: the serialized vendor artifact, or an
 /// already-parsed [`PlanTree`] (e.g. straight from the internal
 /// planner).
@@ -987,11 +974,5 @@ mod tests {
         };
         assert!(e.to_string().contains("neuron"));
         assert!(LanternError::EmptyInput.to_string().contains("empty"));
-        let core: CoreError = LanternError::UnknownOperator {
-            source: "pg".into(),
-            op: "X".into(),
-        }
-        .into();
-        assert!(matches!(core, CoreError::UnknownOperator { .. }));
     }
 }

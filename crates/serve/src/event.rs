@@ -11,9 +11,11 @@
 //!   dispatches complete requests to the worker pool over a bounded
 //!   channel, and writes responses back through per-connection output
 //!   queues **in request order**;
-//! * the **worker pool** (same bounded pool as the legacy path) runs
-//!   `Router::handle` and posts completions back, waking the event
-//!   thread through a self-pipe (a `UnixStream` pair).
+//! * the **worker pool** runs [`Handler::handle`] — a replica's router
+//!   or the cluster coordinator — and posts completions back, waking
+//!   the event thread through a self-pipe (a `UnixStream` pair). A
+//!   handler panic is contained: it costs its connection, never a
+//!   worker.
 //!
 //! Thousands of idle keep-alive connections therefore cost one `fd` +
 //! a few hundred bytes each, not a parked thread. When the dispatch
@@ -23,14 +25,11 @@
 //! drains: the listener closes first, in-flight requests finish, and
 //! buffered responses are flushed before connections are dropped.
 
-#![cfg(unix)]
-
 use crate::http::{
     encode_response, frame_request, read_request, FrameStatus, Request, Response, REQUEST_ID_HEADER,
 };
-use crate::router::{error_body_raw, Router};
-use crate::server::{ServeConfig, ServeStats};
-use lantern_core::Translator;
+use crate::router::error_body_raw;
+use crate::server::{Handler, ServeConfig, ServeStats};
 use lantern_obs::{Recorder, Stage};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -300,8 +299,8 @@ struct Job {
 }
 
 /// A finished request travelling back. `response: None` means the
-/// handler panicked — the connection is torn down, like the legacy
-/// path (one connection per contained panic, never a worker).
+/// handler panicked — the connection is torn down (one connection per
+/// contained panic, never a worker).
 struct Completion {
     token: u64,
     seq: u64,
@@ -314,7 +313,7 @@ struct Shared {
     completions: Mutex<Vec<Completion>>,
     waker: UnixStream,
     stats: Arc<ServeStats>,
-    /// The router's recorder: the event thread records the socket
+    /// The handler's recorder: the event thread records the socket
     /// `read`/`write` stages (requests execute on workers, so those
     /// stages can't ride the worker-thread trace).
     obs: Arc<Recorder>,
@@ -391,16 +390,12 @@ pub(crate) type EventParts = (Vec<JoinHandle<()>>, Arc<dyn Fn() + Send + Sync>);
 /// Spawn the event thread + worker pool over an already-bound
 /// listener. Returns the joinable threads (event thread first) and a
 /// waker the shutdown path writes to.
-pub(crate) fn serve_event<T>(
+pub(crate) fn serve_event<H: Handler>(
     listener: TcpListener,
-    router: Arc<Router<T>>,
-    stats: Arc<ServeStats>,
+    handler: Arc<H>,
     config: ServeConfig,
     shutdown: Arc<AtomicBool>,
-) -> io::Result<EventParts>
-where
-    T: Translator + Send + Sync + 'static,
-{
+) -> io::Result<EventParts> {
     listener.set_nonblocking(true)?;
     let (wake_rx, wake_tx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
@@ -408,8 +403,8 @@ where
     let shared = Arc::new(Shared {
         completions: Mutex::new(Vec::new()),
         waker: wake_tx,
-        stats: Arc::clone(&stats),
-        obs: Arc::clone(router.obs()),
+        stats: Arc::clone(handler.stats()),
+        obs: Arc::clone(handler.obs()),
     });
 
     let (job_tx, job_rx) = sync_channel::<Job>(config.queue_depth.max(1));
@@ -423,10 +418,10 @@ where
 
     for _ in 0..config.effective_workers() {
         let job_rx = Arc::clone(&job_rx);
-        let router = Arc::clone(&router);
+        let handler = Arc::clone(&handler);
         let shared = Arc::clone(&shared);
         threads.push(std::thread::spawn(move || {
-            worker_loop(&job_rx, &*router, &shared)
+            worker_loop(&job_rx, &*handler, &shared)
         }));
     }
 
@@ -453,7 +448,7 @@ where
     Ok((threads, external_waker))
 }
 
-fn worker_loop<T: Translator>(job_rx: &Mutex<Receiver<Job>>, router: &Router<T>, shared: &Shared) {
+fn worker_loop<H: Handler>(job_rx: &Mutex<Receiver<Job>>, handler: &H, shared: &Shared) {
     loop {
         let job = match job_rx.lock() {
             Ok(rx) => rx.recv(),
@@ -461,8 +456,9 @@ fn worker_loop<T: Translator>(job_rx: &Mutex<Receiver<Job>>, router: &Router<T>,
         };
         let Ok(job) = job else { return };
         shared.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| router.handle(&job.request)));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handler.handle(&job.request)
+        }));
         let response = match outcome {
             Ok(response) => Some(response),
             Err(_) => {
@@ -794,7 +790,7 @@ impl EventLoop {
                                 .stats
                                 .error_responses
                                 .fetch_add(1, Ordering::Relaxed);
-                            // Shed responses never reach the router, so
+                            // Shed responses never reach the handler, so
                             // the request id is resolved here — kept
                             // from the request when present, minted
                             // otherwise — and stays traceable.
@@ -819,9 +815,8 @@ impl EventLoop {
                     }
                 }
                 Err(err) => {
-                    // Same contract as the legacy path: protocol errors
-                    // get a structured best-effort reply, then the
-                    // connection closes.
+                    // Protocol errors get a structured best-effort
+                    // reply, then the connection closes.
                     let seq = {
                         let Some(conn) = self.conns[slot].as_mut() else {
                             return;
@@ -881,9 +876,9 @@ impl EventLoop {
                     self.flush(slot);
                 }
                 None => {
-                    // Handler panic: drop the connection, like the
-                    // legacy path — the client sees a reset, pipelined
-                    // siblings die with it, the worker survives.
+                    // Handler panic: drop the connection — the client
+                    // sees a reset, pipelined siblings die with it, the
+                    // worker survives.
                     self.close_conn(slot);
                 }
             }

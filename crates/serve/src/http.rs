@@ -7,7 +7,7 @@
 //! transfer encoding, continuation lines, trailers, and HTTP/2 are all
 //! rejected with explicit statuses rather than half-supported.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead};
 
 /// Cap on the request line + header block, defending the worker pool
 /// against unbounded header streams.
@@ -380,25 +380,12 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialize `response` onto the wire, flagging whether the connection
-/// stays open. Head and body go out in a single `write_all` so the
-/// response is one TCP segment when it fits — two small writes would
-/// hand Nagle's algorithm a reason to stall the body behind a delayed
-/// ACK.
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    response: &Response,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let mut wire = Vec::with_capacity(128 + response.body.len());
-    encode_response(&mut wire, response, keep_alive);
-    writer.write_all(&wire)?;
-    writer.flush()
-}
-
-/// Serialize `response` into `out` (same wire form as
-/// [`write_response`], without touching a stream) — the event loop
-/// appends responses to per-connection output buffers this way.
+/// Serialize `response` into `out`, flagging whether the connection
+/// stays open. The event loop appends responses to per-connection
+/// output buffers this way, so head and body leave in one write and
+/// the response is one TCP segment when it fits — two small writes
+/// would hand Nagle's algorithm a reason to stall the body behind a
+/// delayed ACK.
 pub fn encode_response(out: &mut Vec<u8>, response: &Response, keep_alive: bool) {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -641,7 +628,7 @@ mod tests {
     #[test]
     fn response_wire_form_is_exact() {
         let mut out = Vec::new();
-        write_response(&mut out, &Response::json(200, r#"{"ok":true}"#), true).unwrap();
+        encode_response(&mut out, &Response::json(200, r#"{"ok":true}"#), true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Type: application/json\r\n"));
@@ -654,7 +641,7 @@ mod tests {
     fn extra_headers_are_emitted() {
         let mut out = Vec::new();
         let resp = Response::json(503, r#"{"err":1}"#).with_header("Retry-After", "1");
-        write_response(&mut out, &resp, false).unwrap();
+        encode_response(&mut out, &resp, false);
         let text = String::from_utf8(out).unwrap();
         assert!(
             text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),

@@ -8,13 +8,14 @@
 //!
 //! The server is **std-only**, consistent with the workspace's
 //! offline-shim constraint: no async runtime, no HTTP crate, no serde.
-//! On Unix the default serving core is an event-driven readiness loop
-//! (raw `epoll` on Linux, `poll` elsewhere) with HTTP/1.1
-//! pipelining and load-shedding; `ServeConfig::legacy_blocking`
-//! selects the original thread-per-connection loop. Request and
-//! response bodies use the in-tree JSON value model
-//! (`lantern_text::json`) and the stable `Narration::to_json` wire
-//! format.
+//! It is **Unix-only**: one event-driven readiness loop (raw `epoll`
+//! on Linux, `poll(2)` on other Unixes) owns every socket, with
+//! HTTP/1.1 pipelining, per-request `503` load-shedding, an idle sweep,
+//! and panic containment. [`serve`] is the single entry point: it runs
+//! any [`Handler`] — a replica's [`Router`], or the cluster coordinator
+//! in `lantern-cluster` — on that core. Request and response bodies use
+//! the in-tree JSON value model (`lantern_text::json`) and the stable
+//! `Narration::to_json` wire format.
 //!
 //! ## Endpoints
 //!
@@ -30,9 +31,9 @@
 //! | `GET` | `/debug/slow` | — | recent requests (`?threshold_ms=N` filter): IDs, statuses, per-stage timings |
 //! | `POST` | `/cache/clear` | — | drop all cached narrations (only routed when caching is on) |
 //!
-//! The diff endpoints are routed only when the server was started with
-//! a diff backend ([`serve_with_parts`]); without one they 404 like any
-//! unknown path. All narrate endpoints accept a
+//! The diff, cache and catalog endpoints are routed only when the
+//! router was built with that surface ([`RouterParts`]); without one
+//! they 404 like any unknown path. All narrate endpoints accept a
 //! `?style=numbered|bulleted|paragraph`
 //! query parameter, plus `?nocache=1` to bypass the narration cache for
 //! one request. Failures map to HTTP statuses through
@@ -48,11 +49,16 @@
 //! ```
 //! use lantern_core::RuleTranslator;
 //! use lantern_pool::default_pg_store;
-//! use lantern_serve::{serve, HttpClient, ServeConfig};
+//! use lantern_serve::{serve, HttpClient, Router, RouterParts, ServeConfig};
+//! use std::net::TcpListener;
 //!
-//! // Bind an ephemeral port; `serve` returns once the listener is live.
+//! // Build the router for a config, then serve it on an ephemeral
+//! // port; `serve` returns once the event loop is live.
+//! let config = ServeConfig::default();
 //! let translator = RuleTranslator::new(default_pg_store());
-//! let handle = serve(translator, "127.0.0.1:0", ServeConfig::default()).unwrap();
+//! let router = Router::with_parts(translator, RouterParts::default(), &config);
+//! let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+//! let handle = serve(router, listener, config).unwrap();
 //!
 //! let mut client = HttpClient::connect(handle.addr()).unwrap();
 //! let doc = r#"{"Plan": {"Node Type": "Seq Scan", "Relation Name": "orders"}}"#;
@@ -68,9 +74,11 @@
 //! (`LanternBuilder::serve(addr)`) and ships a `lantern-serve` binary;
 //! `cargo run --example serve_demo` is a scripted end-to-end tour.
 
+#[cfg(not(unix))]
+compile_error!("lantern-serve is Unix-only: its serving core is an epoll/poll readiness loop");
+
 pub mod catalog;
 pub mod client;
-#[cfg(unix)]
 pub(crate) mod event;
 pub mod http;
 pub mod router;
@@ -81,10 +89,9 @@ pub use catalog::{CatalogApplied, CatalogApplyError, CatalogControl};
 pub use client::{ClientConfig, ClientError, ClientErrorKind, ClientResponse, HttpClient};
 pub use http::{Request, Response};
 pub use lantern_cache::{CacheControl, CacheStatsSnapshot};
-pub use router::{error_body, Router};
+pub use router::{error_body, Router, RouterParts};
 pub use server::{
-    reusable_listener, serve, serve_node, serve_on_listener, serve_with_cache, serve_with_parts,
-    ServeConfig, ServeStats, ServerHandle, StatsSnapshot,
+    reusable_listener, serve, Handler, ServeConfig, ServeStats, ServerHandle, StatsSnapshot,
 };
 pub use soak::{
     run_soak, run_soak_multi, CacheDelta, LatencySummary, ServerDelta, SoakConfig, SoakReport,

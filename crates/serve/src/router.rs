@@ -13,7 +13,7 @@
 
 use crate::catalog::{CatalogApplyError, CatalogControl};
 use crate::http::{Request, Response, REQUEST_ID_HEADER};
-use crate::server::ServeStats;
+use crate::server::{Handler, ServeConfig, ServeStats};
 use lantern_cache::{CacheControl, CacheStatsSnapshot};
 use lantern_core::{
     DiffRequest, DiffResponse, DiffTranslator, LanternError, NarrationRequest, NarrationResponse,
@@ -76,92 +76,60 @@ fn parse_style(raw: &str) -> Result<RenderStyle, String> {
     }
 }
 
+/// The optional admin surfaces a [`Router`] can route besides
+/// narration. Each absent surface leaves its paths 404.
+#[derive(Default)]
+pub struct RouterParts {
+    /// The narration cache's admin surface: honours `?nocache=1`,
+    /// routes `POST /cache/clear`, merges cache counters into
+    /// `GET /stats`. Typically the same object as the translator (an
+    /// `Arc<CachedTranslator<_>>`, or a service wrapping one).
+    pub cache: Option<Arc<dyn CacheControl + Send + Sync>>,
+    /// A plan-diff backend: routes `POST /narrate/diff` (one
+    /// base/alternative pair) and `POST /narrate/diff/batch` (one base
+    /// vs N alternatives, ranked by informativeness).
+    pub diff: Option<Arc<dyn DiffTranslator + Send + Sync>>,
+    /// A catalog admin surface: routes `GET /catalog` and
+    /// `POST /catalog/apply`, which is what lets a cluster coordinator
+    /// replicate POEM catalog mutations to this node and probe its
+    /// version and lag.
+    pub catalog: Option<Arc<dyn CatalogControl + Send + Sync>>,
+}
+
 /// Routes requests for one service instance: holds the translator, the
-/// shared counters, the derived backend name, and — when the service
-/// was built with a narration cache — the cache's admin surface
-/// (`?nocache=1` bypass, `POST /cache/clear`, counters in `/stats`).
+/// shared counters, the observability recorder, and whichever admin
+/// surfaces ([`RouterParts`]) the service was built with.
 pub struct Router<T> {
     translator: T,
-    stats: std::sync::Arc<ServeStats>,
-    cache: Option<Arc<dyn CacheControl + Send + Sync>>,
-    diff: Option<Arc<dyn DiffTranslator + Send + Sync>>,
-    catalog: Option<Arc<dyn CatalogControl + Send + Sync>>,
+    stats: Arc<ServeStats>,
+    parts: RouterParts,
     obs: Arc<Recorder>,
 }
 
-/// Decrements the in-flight gauge when the handler returns (or
-/// unwinds — a leaked gauge would report phantom load forever).
-struct InFlightGuard<'a>(&'a ServeStats);
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.requests_in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 impl<T: Translator> Router<T> {
-    /// A router over `translator`, recording into `stats`, with no
-    /// cache admin surface.
-    pub fn new(translator: T, stats: std::sync::Arc<ServeStats>) -> Self {
-        Self::with_parts(translator, stats, None, None)
-    }
-
-    /// A router whose translator fronts a narration cache: `cache` is
-    /// the same object (or a wrapper over it), exposing bypass, stats,
-    /// and clear.
-    pub fn with_cache(
-        translator: T,
-        stats: std::sync::Arc<ServeStats>,
-        cache: Arc<dyn CacheControl + Send + Sync>,
-    ) -> Self {
-        Self::with_parts(translator, stats, Some(cache), None)
-    }
-
-    /// The full constructor: optional cache admin surface, optional
-    /// plan-diff backend (routing `/narrate/diff` and
-    /// `/narrate/diff/batch` when present).
-    pub fn with_parts(
-        translator: T,
-        stats: std::sync::Arc<ServeStats>,
-        cache: Option<Arc<dyn CacheControl + Send + Sync>>,
-        diff: Option<Arc<dyn DiffTranslator + Send + Sync>>,
-    ) -> Self {
-        Self::with_catalog(translator, stats, cache, diff, None)
-    }
-
-    /// [`Router::with_parts`], plus an optional catalog admin surface
-    /// (routing `GET /catalog` and `POST /catalog/apply` when present)
-    /// so a cluster coordinator can replicate POEM mutations to this
-    /// node.
-    pub fn with_catalog(
-        translator: T,
-        stats: std::sync::Arc<ServeStats>,
-        cache: Option<Arc<dyn CacheControl + Send + Sync>>,
-        diff: Option<Arc<dyn DiffTranslator + Send + Sync>>,
-        catalog: Option<Arc<dyn CatalogControl + Send + Sync>>,
-    ) -> Self {
+    /// A bare router over `translator`, recording into `stats` with a
+    /// default recorder and no admin surfaces.
+    pub fn new(translator: T, stats: Arc<ServeStats>) -> Self {
         Router {
             translator,
             stats,
-            cache,
-            diff,
-            catalog,
+            parts: RouterParts::default(),
             obs: Arc::new(Recorder::new(RecorderConfig::default())),
         }
     }
 
-    /// Replace the default observability recorder (the server builds
-    /// one from [`ServeConfig`](crate::server::ServeConfig) so
-    /// `--metrics-off` / `--slow-log-ms` reach the router).
-    pub fn with_obs(mut self, obs: Arc<Recorder>) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// The router's observability recorder (shared with the serving
-    /// core, which records the `read`/`write` stages).
-    pub fn obs(&self) -> &Arc<Recorder> {
-        &self.obs
+    /// The full router a node serves under `config`: the admin surfaces
+    /// in `parts`, and fresh counters plus a recorder from
+    /// [`ServeConfig::instruments`] (so `--metrics-off` and
+    /// `--slow-log-ms` reach the routes).
+    pub fn with_parts(translator: T, parts: RouterParts, config: &ServeConfig) -> Self {
+        let (stats, obs) = config.instruments();
+        Router {
+            translator,
+            stats,
+            parts,
+            obs,
+        }
     }
 
     /// Dispatch one parsed request to its handler.
@@ -172,11 +140,7 @@ impl<T: Translator> Router<T> {
     /// runs under a stage trace, so per-stage time lands in
     /// `GET /metrics` and slow requests in `GET /debug/slow`.
     pub fn handle(&self, req: &Request) -> Response {
-        self.stats.requests_total.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .requests_in_flight
-            .fetch_add(1, Ordering::Relaxed);
-        let _in_flight = InFlightGuard(&self.stats);
+        let _in_flight = self.stats.begin_request();
         let id = match req.header(REQUEST_ID_HEADER) {
             Some(id) if !id.is_empty() => id.to_string(),
             _ => self.obs.mint_id(),
@@ -192,19 +156,23 @@ impl<T: Translator> Router<T> {
         let response = match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/narrate") => self.narrate(req),
             ("POST", "/narrate/batch") => self.narrate_batch(req),
-            ("POST", "/narrate/diff") if self.diff.is_some() => self.narrate_diff(req),
-            ("POST", "/narrate/diff/batch") if self.diff.is_some() => self.narrate_diff_batch(req),
-            (_, "/narrate/diff" | "/narrate/diff/batch") if self.diff.is_some() => Response::json(
-                405,
-                error_body_raw(
-                    "http",
-                    &format!("method {} not allowed on {}", req.method, req.path),
+            ("POST", "/narrate/diff") if self.parts.diff.is_some() => self.narrate_diff(req),
+            ("POST", "/narrate/diff/batch") if self.parts.diff.is_some() => {
+                self.narrate_diff_batch(req)
+            }
+            (_, "/narrate/diff" | "/narrate/diff/batch") if self.parts.diff.is_some() => {
+                Response::json(
                     405,
+                    error_body_raw(
+                        "http",
+                        &format!("method {} not allowed on {}", req.method, req.path),
+                        405,
+                    )
+                    .to_string_compact(),
                 )
-                .to_string_compact(),
-            ),
+            }
             ("GET", "/healthz") => self.healthz(),
-            ("GET", "/stats") => self.stats(),
+            ("GET", "/stats") => self.stats_page(),
             ("GET", "/metrics") if self.obs.enabled() => self.metrics(),
             ("GET", "/debug/slow") => self.debug_slow(req),
             (_, "/metrics") if self.obs.enabled() => Response::json(
@@ -225,9 +193,9 @@ impl<T: Translator> Router<T> {
                 )
                 .to_string_compact(),
             ),
-            ("GET", "/catalog") if self.catalog.is_some() => self.catalog_info(),
-            ("POST", "/catalog/apply") if self.catalog.is_some() => self.catalog_apply(req),
-            (_, "/catalog" | "/catalog/apply") if self.catalog.is_some() => Response::json(
+            ("GET", "/catalog") if self.parts.catalog.is_some() => self.catalog_info(),
+            ("POST", "/catalog/apply") if self.parts.catalog.is_some() => self.catalog_apply(req),
+            (_, "/catalog" | "/catalog/apply") if self.parts.catalog.is_some() => Response::json(
                 405,
                 error_body_raw(
                     "http",
@@ -236,8 +204,8 @@ impl<T: Translator> Router<T> {
                 )
                 .to_string_compact(),
             ),
-            ("POST", "/cache/clear") if self.cache.is_some() => self.cache_clear(),
-            (_, "/cache/clear") if self.cache.is_some() => Response::json(
+            ("POST", "/cache/clear") if self.parts.cache.is_some() => self.cache_clear(),
+            (_, "/cache/clear") if self.parts.cache.is_some() => Response::json(
                 405,
                 error_body_raw(
                     "http",
@@ -320,7 +288,7 @@ impl<T: Translator> Router<T> {
         };
         let narrated = parsed.and_then(|r| {
             let _narrate = span(Stage::Narrate);
-            match (&self.cache, Self::wants_nocache(req)) {
+            match (&self.parts.cache, Self::wants_nocache(req)) {
                 // `?nocache=1` routes around the cache (neither
                 // consulted nor filled) when one is configured.
                 (Some(cache), true) => cache.narrate_uncached(&r),
@@ -419,7 +387,7 @@ impl<T: Translator> Router<T> {
             .collect();
         let narrated = {
             let _narrate = span(Stage::Narrate);
-            match (&self.cache, Self::wants_nocache(req)) {
+            match (&self.parts.cache, Self::wants_nocache(req)) {
                 (Some(cache), true) => cache.narrate_batch_uncached(&good),
                 _ => self.translator.narrate_batch(&good),
             }
@@ -471,9 +439,9 @@ impl<T: Translator> Router<T> {
 
     /// `GET /stats` — the counter snapshot, with the narration cache's
     /// counters merged in under `"cache"` when one is configured.
-    fn stats(&self) -> Response {
+    fn stats_page(&self) -> Response {
         let mut body = self.stats.snapshot().to_json_value();
-        if let (Some(cache), JsonValue::Object(obj)) = (&self.cache, &mut body) {
+        if let (Some(cache), JsonValue::Object(obj)) = (&self.parts.cache, &mut body) {
             obj.insert("cache".to_string(), cache_stats_value(&cache.cache_stats()));
         }
         Response::json(200, body.to_string_compact())
@@ -484,7 +452,11 @@ impl<T: Translator> Router<T> {
     /// vendor format is auto-detected independently. Only routed when a
     /// diff backend is configured.
     fn narrate_diff(&self, req: &Request) -> Response {
-        let diff = self.diff.as_ref().expect("routed only with a diff backend");
+        let diff = self
+            .parts
+            .diff
+            .as_ref()
+            .expect("routed only with a diff backend");
         self.stats.diff_requests.fetch_add(1, Ordering::Relaxed);
         let style = match Self::style_of(req) {
             Ok(style) => style,
@@ -563,7 +535,11 @@ impl<T: Translator> Router<T> {
     /// its position in the request's `alts` array. A base that fails to
     /// parse rejects the whole request — nothing could be compared.
     fn narrate_diff_batch(&self, req: &Request) -> Response {
-        let diff = self.diff.as_ref().expect("routed only with a diff backend");
+        let diff = self
+            .parts
+            .diff
+            .as_ref()
+            .expect("routed only with a diff backend");
         self.stats
             .diff_batch_requests
             .fetch_add(1, Ordering::Relaxed);
@@ -685,7 +661,7 @@ impl<T: Translator> Router<T> {
     /// `POST /cache/clear` — drop every cached narration; answers how
     /// many were resident. Only routed when a cache is configured.
     fn cache_clear(&self) -> Response {
-        let cache = self.cache.as_ref().expect("routed only with a cache");
+        let cache = self.parts.cache.as_ref().expect("routed only with a cache");
         let mut obj = BTreeMap::new();
         obj.insert(
             "cleared".to_string(),
@@ -698,7 +674,11 @@ impl<T: Translator> Router<T> {
     /// broadcast sequence number applied. Doubles as the coordinator's
     /// health + lag probe. Only routed with a catalog surface.
     fn catalog_info(&self) -> Response {
-        let catalog = self.catalog.as_ref().expect("routed only with a catalog");
+        let catalog = self
+            .parts
+            .catalog
+            .as_ref()
+            .expect("routed only with a catalog");
         let mut obj = BTreeMap::new();
         obj.insert(
             "version".to_string(),
@@ -718,7 +698,11 @@ impl<T: Translator> Router<T> {
     /// would skip ahead of this node's `applied_seq + 1` is rejected
     /// with `409` so the sender replays the missing prefix first.
     fn catalog_apply(&self, req: &Request) -> Response {
-        let catalog = self.catalog.as_ref().expect("routed only with a catalog");
+        let catalog = self
+            .parts
+            .catalog
+            .as_ref()
+            .expect("routed only with a catalog");
         let parse_err = |message: &str| {
             Response::json(
                 400,
@@ -797,29 +781,11 @@ impl<T: Translator> Router<T> {
     /// metrics are disabled, so `--metrics-off` turns this into a 404.
     fn metrics(&self) -> Response {
         let registry = self.obs.registry();
-        // Point-in-time readings are gauges; every other snapshot key
-        // only ever increments, which makes it a Prometheus counter.
-        const SERVER_GAUGES: [&str; 4] = [
-            "queue_depth",
-            "requests_in_flight",
-            "uptime_ms",
-            "uptime_seconds",
-        ];
-        if let JsonValue::Object(obj) = self.stats.snapshot().to_json_value() {
-            for (key, value) in &obj {
-                let JsonValue::Number(n) = value else {
-                    continue;
-                };
-                let name = format!("lantern_server_{key}");
-                if SERVER_GAUGES.contains(&key.as_str()) {
-                    registry.set_gauge(&name, &[], *n as u64);
-                } else {
-                    registry.set_counter(&name, &[], *n as u64);
-                }
-            }
-        }
+        self.stats
+            .snapshot()
+            .export(registry, "lantern_server_", &[]);
         const CACHE_GAUGES: [&str; 5] = ["entries", "bytes", "max_entries", "max_bytes", "shards"];
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = &self.parts.cache {
             if let JsonValue::Object(obj) = cache_stats_value(&cache.cache_stats()) {
                 for (key, value) in &obj {
                     let JsonValue::Number(n) = value else {
@@ -851,6 +817,18 @@ impl<T: Translator> Router<T> {
             200,
             slow_log_value(&self.obs, threshold_ms).to_string_compact(),
         )
+    }
+}
+
+impl<T: Translator + Send + Sync + 'static> Handler for Router<T> {
+    fn handle(&self, req: &Request) -> Response {
+        Router::handle(self, req)
+    }
+    fn stats(&self) -> &Arc<ServeStats> {
+        &self.stats
+    }
+    fn obs(&self) -> &Arc<Recorder> {
+        &self.obs
     }
 }
 
@@ -1179,10 +1157,13 @@ mod tests {
             RuleTranslator::new(default_mssql_store()),
             lantern_cache::CacheConfig::default(),
         ));
-        Router::with_cache(
+        Router::with_parts(
             Arc::clone(&cached),
-            Arc::new(ServeStats::new()),
-            cached as Arc<dyn CacheControl + Send + Sync>,
+            RouterParts {
+                cache: Some(cached),
+                ..RouterParts::default()
+            },
+            &ServeConfig::default(),
         )
     }
 
@@ -1278,11 +1259,13 @@ mod tests {
     fn diff_router() -> Router<RuleTranslator> {
         Router::with_parts(
             RuleTranslator::new(default_mssql_store()),
-            Arc::new(ServeStats::new()),
-            None,
-            Some(Arc::new(lantern_diff::RuleDiffTranslator::new(
-                default_mssql_store(),
-            ))),
+            RouterParts {
+                diff: Some(Arc::new(lantern_diff::RuleDiffTranslator::new(
+                    default_mssql_store(),
+                ))),
+                ..RouterParts::default()
+            },
+            &ServeConfig::default(),
         )
     }
 
@@ -1616,12 +1599,14 @@ mod tests {
 
     #[test]
     fn metrics_disabled_router_hides_the_endpoint_but_keeps_ids() {
-        let router = router().with_obs(Arc::new(lantern_obs::Recorder::new(
-            lantern_obs::RecorderConfig {
-                enabled: false,
-                ..Default::default()
+        let router = Router::with_parts(
+            RuleTranslator::new(default_mssql_store()),
+            RouterParts::default(),
+            &ServeConfig {
+                metrics: false,
+                ..ServeConfig::default()
             },
-        )));
+        );
         assert_eq!(router.handle(&get("/metrics")).status, 404);
         // Request IDs are part of the wire contract, not the metrics
         // surface: still echoed with tracing off.
@@ -1664,7 +1649,11 @@ mod tests {
             RuleTranslator::new(default_pg_store()),
             CacheConfig::default(),
         ));
-        let router = Router::with_cache(Arc::clone(&cached), Arc::new(ServeStats::new()), cached);
+        let parts = RouterParts {
+            cache: Some(cached.clone()),
+            ..RouterParts::default()
+        };
+        let router = Router::with_parts(cached, parts, &ServeConfig::default());
         let resp = router.handle(&post_with(
             "/narrate",
             PG_DOC,

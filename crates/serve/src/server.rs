@@ -1,33 +1,20 @@
-//! The long-lived server loop, in two flavours behind one
-//! [`ServeConfig`]:
-//!
-//! * the **event-driven core** (default on Unix, `src/event.rs`): a
-//!   single readiness-loop thread owns every socket non-blocking —
-//!   accept, incremental parse, pipelining, ordered response writes —
-//!   and dispatches complete requests to the bounded worker pool. When
-//!   the dispatch queue saturates, requests are *shed* with `503` +
-//!   `Retry-After` instead of queueing unboundedly.
-//! * the **legacy blocking path** ([`ServeConfig::legacy_blocking`],
-//!   and every non-Unix target): a [`TcpListener`] accept thread feeds
-//!   whole connections to the pool over a
-//!   [`std::sync::mpsc::sync_channel`]; each worker owns one
-//!   connection at a time. Backpressure is structural — a full queue
-//!   blocks the accept thread, pushing arrivals into the OS backlog.
-//!
-//! Both paths share the router, the counters, keep-alive handling, and
-//! graceful shutdown semantics.
+//! The serving entry point: [`serve`] runs any [`Handler`] — a
+//! replica's [`Router`](crate::Router) or the cluster coordinator — on
+//! the event-driven core (`src/event.rs`). One readiness-loop thread
+//! owns every socket non-blocking (accept, incremental parse,
+//! pipelining, ordered response writes) and dispatches complete
+//! requests to a bounded worker pool. When the dispatch queue is full,
+//! requests are *shed* with `503` + `Retry-After` instead of queueing
+//! unboundedly. The server is Unix-only.
 
-use crate::http::{read_request, write_response, Response};
-use crate::router::{error_body_raw, Router};
-use lantern_core::Translator;
-use lantern_obs::{Recorder, RecorderConfig, Stage};
+use crate::http::{Request, Response};
+use lantern_obs::{Recorder, RecorderConfig, Registry};
 use lantern_text::json::JsonValue;
 use std::collections::BTreeMap;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -35,28 +22,23 @@ use std::time::{Duration, Instant};
 /// binary alike; every field has a CLI flag on `lantern-serve`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads handling connections. `0` means
+    /// Worker threads running the handler. `0` means
     /// `available_parallelism` (min 2, so one slow request can't
     /// starve the health check on a single-core host).
     pub workers: usize,
-    /// Accepted connections that may queue waiting for a worker before
-    /// the accept thread blocks.
+    /// Dispatch-queue slots: framed requests waiting for a worker. A
+    /// request that arrives with every slot taken is shed with `503` +
+    /// `Retry-After`; its connection stays usable.
     pub queue_depth: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
-    /// Idle read timeout on keep-alive connections; an idle connection
-    /// is closed after this long so workers can't be parked forever.
-    /// On the event path this also bounds slow-loris peers parked on a
-    /// partial request head.
+    /// Idle timeout: a connection with nothing in flight and no socket
+    /// activity for this long is closed. This covers idle keep-alive
+    /// peers and slow-loris peers parked on a partial request head.
     pub read_timeout: Duration,
-    /// Open connections the event loop will hold at once; arrivals
-    /// past the cap are closed immediately. Ignored on the legacy
-    /// path, where the pool size is the cap.
+    /// Open connections the event loop holds at once; arrivals past the
+    /// cap are closed immediately and counted as shed.
     pub max_conns: usize,
-    /// Use the thread-per-connection blocking path instead of the
-    /// event-driven readiness loop. Non-Unix targets always take the
-    /// blocking path.
-    pub legacy_blocking: bool,
     /// Record per-stage latency histograms and serve `GET /metrics`.
     /// Off, the recorder is inert (one atomic load per request) and
     /// `/metrics` answers 404.
@@ -76,7 +58,6 @@ impl Default for ServeConfig {
             max_body_bytes: 4 * 1024 * 1024,
             read_timeout: Duration::from_secs(5),
             max_conns: 4096,
-            legacy_blocking: false,
             metrics: true,
             slow_log_ms: 0,
         }
@@ -84,18 +65,18 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The observability recorder this config describes — built once
-    /// per server and shared between the router and the serving core.
-    pub(crate) fn recorder(&self) -> Arc<Recorder> {
-        Arc::new(Recorder::new(RecorderConfig {
+    /// Fresh counters and a recorder set up by `metrics` and
+    /// `slow_log_ms`. Every handler that [`serve`] runs is built around
+    /// one such pair; the core records into the same pair.
+    pub fn instruments(&self) -> (Arc<ServeStats>, Arc<Recorder>) {
+        let recorder = Recorder::new(RecorderConfig {
             enabled: self.metrics,
             slow_log_ms: self.slow_log_ms,
             ..RecorderConfig::default()
-        }))
+        });
+        (Arc::new(ServeStats::new()), Arc::new(recorder))
     }
-}
 
-impl ServeConfig {
     pub(crate) fn effective_workers(&self) -> usize {
         if self.workers > 0 {
             return self.workers;
@@ -107,8 +88,34 @@ impl ServeConfig {
     }
 }
 
-/// Shared atomic counters, incremented by the router and the
-/// connection loop; snapshot with [`ServeStats::snapshot`].
+/// What the serving core runs: one parsed request in, one response
+/// out, on a worker thread. The accessors expose the counters and the
+/// recorder the handler was built around. The core adds what only it
+/// can see to them: connections, shedding, pipelining, panics, queue
+/// depth, and the socket `read`/`write` stages.
+pub trait Handler: Send + Sync + 'static {
+    /// Answer one request.
+    fn handle(&self, req: &Request) -> Response;
+    /// The node's counters.
+    fn stats(&self) -> &Arc<ServeStats>;
+    /// The node's observability recorder.
+    fn obs(&self) -> &Arc<Recorder>;
+}
+
+impl<H: Handler> Handler for Arc<H> {
+    fn handle(&self, req: &Request) -> Response {
+        (**self).handle(req)
+    }
+    fn stats(&self) -> &Arc<ServeStats> {
+        (**self).stats()
+    }
+    fn obs(&self) -> &Arc<Recorder> {
+        (**self).obs()
+    }
+}
+
+/// Shared atomic counters, incremented by the handler and the serving
+/// core; snapshot with [`ServeStats::snapshot`].
 #[derive(Debug)]
 pub struct ServeStats {
     /// TCP connections accepted.
@@ -139,22 +146,21 @@ pub struct ServeStats {
     pub not_found: AtomicU64,
     /// Responses with status ≥ 400, protocol errors included.
     pub error_responses: AtomicU64,
-    /// Panics contained by the worker pool (each cost one connection,
-    /// never a worker).
+    /// Handler panics contained by the worker pool (each cost one
+    /// connection, never a worker).
     pub panics: AtomicU64,
     /// Requests refused by admission control: `503`s answered when the
     /// dispatch queue was full, plus connections closed at the
-    /// `max_conns` cap (event path only).
+    /// `max_conns` cap.
     pub shed_requests: AtomicU64,
     /// Requests that arrived pipelined — read off a connection before
-    /// the response to an earlier request on it was written (event
-    /// path only).
+    /// the response to an earlier request on it was written.
     pub pipelined_requests: AtomicU64,
     /// Gauge: requests sitting in the dispatch queue, accepted but not
-    /// yet picked up by a worker (event path only).
+    /// yet picked up by a worker.
     pub queue_depth: AtomicU64,
     /// Gauge: requests currently being handled (incremented on entry to
-    /// the router, decremented when the handler returns — so a `/stats`
+    /// the handler, decremented when it returns — so a `/stats`
     /// response always counts at least itself).
     pub requests_in_flight: AtomicU64,
     started: Instant,
@@ -193,6 +199,16 @@ impl ServeStats {
         self.started.elapsed()
     }
 
+    /// Count one request into `requests_total` and the in-flight gauge.
+    /// The gauge comes back down when the returned guard drops, which
+    /// also happens on unwind (a leaked gauge would report phantom load
+    /// forever).
+    pub fn begin_request(&self) -> InFlight<'_> {
+        self.requests_total.fetch_add(1, Ordering::Relaxed);
+        self.requests_in_flight.fetch_add(1, Ordering::Relaxed);
+        InFlight(self)
+    }
+
     /// A consistent-enough copy of the counters (each counter is read
     /// once, atomically; the set is not cross-counter atomic).
     pub fn snapshot(&self) -> StatsSnapshot {
@@ -219,6 +235,15 @@ impl ServeStats {
             uptime_ms: self.uptime().as_millis() as u64,
             uptime_seconds: self.uptime().as_secs(),
         }
+    }
+}
+
+/// A request counted in flight by [`ServeStats::begin_request`].
+pub struct InFlight<'a>(&'a ServeStats);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.requests_in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -300,6 +325,32 @@ impl StatsSnapshot {
         }
         JsonValue::Object(obj)
     }
+
+    /// Publish the snapshot into `registry` as `<prefix><key>` series
+    /// carrying `labels`: point-in-time readings as gauges, every other
+    /// key (they only ever increment) as a counter.
+    pub fn export(&self, registry: &Registry, prefix: &str, labels: &[(&str, &str)]) {
+        const GAUGES: [&str; 4] = [
+            "queue_depth",
+            "requests_in_flight",
+            "uptime_ms",
+            "uptime_seconds",
+        ];
+        let JsonValue::Object(obj) = self.to_json_value() else {
+            return;
+        };
+        for (key, value) in &obj {
+            let JsonValue::Number(n) = value else {
+                continue;
+            };
+            let name = format!("{prefix}{key}");
+            if GAUGES.contains(&key.as_str()) {
+                registry.set_gauge(&name, labels, *n as u64);
+            } else {
+                registry.set_counter(&name, labels, *n as u64);
+            }
+        }
+    }
 }
 
 /// Handle to a running server: address introspection, live stats, and
@@ -309,19 +360,18 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     stats: Arc<ServeStats>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    /// Event path only: wakes the readiness loop so it observes the
-    /// shutdown flag without waiting out a poll timeout. The legacy
-    /// path pokes its accept thread over TCP instead.
-    event_waker: Option<Arc<dyn Fn() + Send + Sync>>,
+    /// The event thread first, then the workers; empty once joined.
+    threads: Vec<JoinHandle<()>>,
+    /// Wakes the readiness loop so it observes the shutdown flag
+    /// without waiting out a poll timeout.
+    waker: Arc<dyn Fn() + Send + Sync>,
 }
 
 impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
             .field("addr", &self.addr)
-            .field("workers", &self.workers.len())
+            .field("threads", &self.threads.len())
             .finish_non_exhaustive()
     }
 }
@@ -338,46 +388,24 @@ impl ServerHandle {
         self.stats.snapshot()
     }
 
-    /// Graceful shutdown: stop accepting, drain queued connections,
-    /// finish in-flight requests, join every thread.
+    /// Graceful shutdown: stop accepting, finish in-flight requests,
+    /// flush buffered responses, join every thread.
     pub fn shutdown(mut self) -> io::Result<()> {
         self.shutdown_inner()
     }
 
     fn shutdown_inner(&mut self) -> io::Result<()> {
-        if self.accept_thread.is_none() {
+        if self.threads.is_empty() {
             return Ok(());
         }
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.event_waker {
-            // Event path: one byte down the self-pipe and the loop sees
-            // the flag on its next iteration.
-            waker();
-        } else {
-            // The accept thread is parked in `accept()`; poke it awake
-            // with a throwaway connection so it observes the flag. A
-            // wildcard bind (0.0.0.0 / [::]) is not connectable
-            // everywhere, so the poke targets the loopback equivalent
-            // of the bound port.
-            let mut poke_addr = self.addr;
-            if poke_addr.ip().is_unspecified() {
-                poke_addr.set_ip(match poke_addr {
-                    SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                    SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-                });
-            }
-            let _ = TcpStream::connect_timeout(&poke_addr, Duration::from_secs(1));
-        }
-        if let Some(t) = self.accept_thread.take() {
-            t.join()
-                .map_err(|_| io::Error::other("accept thread panicked"))?;
-        }
-        // Accept thread exit drops the queue sender; workers drain what
-        // is queued, then see the disconnect and stop.
-        for worker in self.workers.drain(..) {
-            worker
+        (self.waker)();
+        // The event thread exits first and drops the dispatch queue's
+        // sender; workers drain what is queued, then stop.
+        for thread in self.threads.drain(..) {
+            thread
                 .join()
-                .map_err(|_| io::Error::other("worker thread panicked"))?;
+                .map_err(|_| io::Error::other("server thread panicked"))?;
         }
         Ok(())
     }
@@ -389,254 +417,30 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Boot a narration server over `translator` on `addr`.
+/// Serve `handler` on `listener` until the returned handle shuts down.
 ///
-/// Returns once the listener is bound and the worker pool is up; the
-/// returned [`ServerHandle`] outlives this call and owns every spawned
-/// thread. Bind `"127.0.0.1:0"` to get an ephemeral port (read it back
-/// with [`ServerHandle::addr`]).
-pub fn serve<T>(
-    translator: T,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> io::Result<ServerHandle>
-where
-    T: Translator + Send + Sync + 'static,
-{
-    serve_with_cache(translator, None, addr, config)
-}
-
-/// [`serve`], with the translator's narration-cache admin surface
-/// attached: the router honours `?nocache=1`, routes
-/// `POST /cache/clear`, and merges cache counters into `GET /stats`.
-/// `cache` is typically the *same* object as `translator` (an
-/// `Arc<CachedTranslator<_>>`, or a service wrapping one), shared via
-/// `Arc`.
-pub fn serve_with_cache<T>(
-    translator: T,
-    cache: Option<Arc<dyn lantern_cache::CacheControl + Send + Sync>>,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> io::Result<ServerHandle>
-where
-    T: Translator + Send + Sync + 'static,
-{
-    serve_with_parts(translator, cache, None, addr, config)
-}
-
-/// The full-surface entry point: [`serve_with_cache`], plus an
-/// optional plan-diff backend. With `diff` present the router
-/// additionally routes `POST /narrate/diff` (one base/alternative
-/// pair) and `POST /narrate/diff/batch` (one base vs N alternatives,
-/// ranked by informativeness); without it those paths stay 404, like
-/// `/cache/clear` without a cache.
-pub fn serve_with_parts<T>(
-    translator: T,
-    cache: Option<Arc<dyn lantern_cache::CacheControl + Send + Sync>>,
-    diff: Option<Arc<dyn lantern_core::DiffTranslator + Send + Sync>>,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> io::Result<ServerHandle>
-where
-    T: Translator + Send + Sync + 'static,
-{
-    serve_node(translator, cache, diff, None, addr, config)
-}
-
-/// [`serve_with_parts`], plus an optional catalog admin surface. With
-/// `catalog` present the router additionally routes `GET /catalog` and
-/// `POST /catalog/apply`, which is what lets a cluster coordinator
-/// replicate POEM catalog mutations to this node and probe its
-/// version/lag.
-pub fn serve_node<T>(
-    translator: T,
-    cache: Option<Arc<dyn lantern_cache::CacheControl + Send + Sync>>,
-    diff: Option<Arc<dyn lantern_core::DiffTranslator + Send + Sync>>,
-    catalog: Option<Arc<dyn crate::catalog::CatalogControl + Send + Sync>>,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> io::Result<ServerHandle>
-where
-    T: Translator + Send + Sync + 'static,
-{
-    let listener = TcpListener::bind(addr)?;
-    serve_on_listener(translator, cache, diff, catalog, listener, config)
-}
-
-/// [`serve_node`] over a listener the caller already bound. This is
-/// the restart path: rebinding a just-vacated port usually trips over
-/// connections lingering in `TIME_WAIT`, so a replica that must come
-/// back on the *same* address binds through [`reusable_listener`]
-/// (`SO_REUSEADDR`) and hands the listener in here.
-pub fn serve_on_listener<T>(
-    translator: T,
-    cache: Option<Arc<dyn lantern_cache::CacheControl + Send + Sync>>,
-    diff: Option<Arc<dyn lantern_core::DiffTranslator + Send + Sync>>,
-    catalog: Option<Arc<dyn crate::catalog::CatalogControl + Send + Sync>>,
+/// Returns once the event thread and the worker pool are up; the
+/// [`ServerHandle`] owns every spawned thread. Bind `"127.0.0.1:0"` for
+/// an ephemeral port (read it back with [`ServerHandle::addr`]), or
+/// bind through [`reusable_listener`] to come back on the port a
+/// previous server just vacated.
+pub fn serve<H: Handler>(
+    handler: H,
     listener: TcpListener,
     config: ServeConfig,
-) -> io::Result<ServerHandle>
-where
-    T: Translator + Send + Sync + 'static,
-{
-    let local_addr = listener.local_addr()?;
+) -> io::Result<ServerHandle> {
+    let addr = listener.local_addr()?;
+    let stats = Arc::clone(handler.stats());
     let shutdown = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(ServeStats::new());
-    let router = Arc::new(
-        Router::with_catalog(translator, Arc::clone(&stats), cache, diff, catalog)
-            .with_obs(config.recorder()),
-    );
-
-    #[cfg(unix)]
-    if !config.legacy_blocking {
-        let (mut threads, waker) = crate::event::serve_event(
-            listener,
-            router,
-            Arc::clone(&stats),
-            config,
-            Arc::clone(&shutdown),
-        )?;
-        let event_thread = threads.remove(0);
-        return Ok(ServerHandle {
-            addr: local_addr,
-            shutdown,
-            stats,
-            accept_thread: Some(event_thread),
-            workers: threads,
-            event_waker: Some(waker),
-        });
-    }
-
-    let (conn_tx, conn_rx) = sync_channel::<TcpStream>(config.queue_depth);
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-    let workers = (0..config.effective_workers())
-        .map(|_| {
-            let conn_rx = Arc::clone(&conn_rx);
-            let router = Arc::clone(&router);
-            let shutdown = Arc::clone(&shutdown);
-            let config = config.clone();
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || worker_loop(&conn_rx, &*router, &config, &shutdown, &stats))
-        })
-        .collect();
-
-    let accept_thread = {
-        let shutdown = Arc::clone(&shutdown);
-        let stats = Arc::clone(&stats);
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                // Mirror the event path's `queue_depth` gauge: count the
-                // connection into the queue before the (possibly
-                // blocking) send; the worker decrements on dequeue.
-                stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-                if conn_tx.send(stream).is_err() {
-                    stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-            // `conn_tx` drops here; workers drain and stop.
-        })
-    };
-
+    let (threads, waker) =
+        crate::event::serve_event(listener, Arc::new(handler), config, Arc::clone(&shutdown))?;
     Ok(ServerHandle {
-        addr: local_addr,
+        addr,
         shutdown,
         stats,
-        accept_thread: Some(accept_thread),
-        workers,
-        event_waker: None,
+        threads,
+        waker,
     })
-}
-
-fn worker_loop<T: Translator>(
-    conn_rx: &Mutex<Receiver<TcpStream>>,
-    router: &Router<T>,
-    config: &ServeConfig,
-    shutdown: &AtomicBool,
-    stats: &ServeStats,
-) {
-    loop {
-        // Hold the lock only for the dequeue, never while serving.
-        let conn = match conn_rx.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return,
-        };
-        match conn {
-            Ok(stream) => {
-                stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                // A panic while serving (a buggy Translator impl, say)
-                // must not shrink the pool for the server's lifetime:
-                // contain it to the connection and keep the worker.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _ = handle_connection(stream, router, config, shutdown, stats);
-                }));
-                if outcome.is_err() {
-                    stats.panics.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(_) => return, // channel disconnected: shutdown
-        }
-    }
-}
-
-/// Serve one connection until the peer closes, a protocol error
-/// terminates it, keep-alive is declined, or shutdown begins.
-fn handle_connection<T: Translator>(
-    stream: TcpStream,
-    router: &Router<T>,
-    config: &ServeConfig,
-    shutdown: &AtomicBool,
-    stats: &ServeStats,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    // Responses are written as one buffer; without NODELAY the kernel
-    // would still sit on them waiting for ACKs between keep-alive
-    // requests.
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        // Socket reads/writes happen outside any request trace (the
-        // trace begins in the router), so the read/write stages go
-        // straight to the recorder's histograms.
-        let read_started = Instant::now();
-        match read_request(&mut reader, config.max_body_bytes) {
-            Ok(request) => {
-                router
-                    .obs()
-                    .record_stage(Stage::Read, read_started.elapsed().as_nanos() as u64);
-                let response = router.handle(&request);
-                // Stop advertising keep-alive once shutdown begins so
-                // draining connections wind down promptly.
-                let keep_alive = request.keep_alive && !shutdown.load(Ordering::SeqCst);
-                let write_started = Instant::now();
-                write_response(&mut writer, &response, keep_alive)?;
-                router
-                    .obs()
-                    .record_stage(Stage::Write, write_started.elapsed().as_nanos() as u64);
-                if !keep_alive {
-                    return Ok(());
-                }
-            }
-            Err(err) => {
-                // Protocol errors get a best-effort structured reply on
-                // the way out; clean EOF and I/O errors just close.
-                if let Some(status) = err.status() {
-                    stats.error_responses.fetch_add(1, Ordering::Relaxed);
-                    let body = error_body_raw("http", &err.message(), status);
-                    let response = Response::json(status, body.to_string_compact());
-                    let _ = write_response(&mut writer, &response, false);
-                }
-                return Ok(());
-            }
-        }
-    }
 }
 
 /// Bind a listener with `SO_REUSEADDR`, so an address whose previous
@@ -728,19 +532,30 @@ pub fn reusable_listener(addr: SocketAddr) -> io::Result<TcpListener> {
 mod tests {
     use super::*;
     use crate::client::HttpClient;
-    use lantern_core::RuleTranslator;
+    use crate::router::{Router, RouterParts};
+    use lantern_core::{RuleTranslator, Translator};
     use lantern_pool::default_pg_store;
+    use std::net::TcpStream;
+
+    fn boot_with<T: Translator + Send + Sync + 'static>(
+        translator: T,
+        listener: TcpListener,
+        config: ServeConfig,
+    ) -> ServerHandle {
+        let router = Router::with_parts(translator, RouterParts::default(), &config);
+        serve(router, listener, config).expect("serve")
+    }
+
+    fn ephemeral() -> TcpListener {
+        TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port")
+    }
 
     fn boot() -> ServerHandle {
-        serve(
-            RuleTranslator::new(default_pg_store()),
-            "127.0.0.1:0",
-            ServeConfig {
-                workers: 2,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("bind ephemeral port")
+        let config = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        boot_with(RuleTranslator::new(default_pg_store()), ephemeral(), config)
     }
 
     #[test]
@@ -825,15 +640,11 @@ mod tests {
 
         // One worker: if the panic killed it, nothing could ever answer
         // again.
-        let handle = serve(
-            Panicky,
-            "127.0.0.1:0",
-            ServeConfig {
-                workers: 1,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let handle = boot_with(Panicky, ephemeral(), config);
         let mut doomed = HttpClient::connect(handle.addr()).unwrap();
         // The panic drops the connection mid-exchange; the client sees
         // an error, not a hang.
@@ -855,30 +666,22 @@ mod tests {
         // `reusable_listener` too so the port is reusable from birth.
         let listener = reusable_listener("127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = serve_on_listener(
+        let handle = boot_with(
             RuleTranslator::new(default_pg_store()),
-            None,
-            None,
-            None,
             listener,
             ServeConfig::default(),
-        )
-        .unwrap();
+        );
         let mut client = HttpClient::connect(addr).unwrap();
         assert_eq!(client.get("/healthz").unwrap().status, 200);
         drop(client);
         handle.shutdown().unwrap();
 
         let listener = reusable_listener(addr).expect("rebind the vacated port");
-        let handle = serve_on_listener(
+        let handle = boot_with(
             RuleTranslator::new(default_pg_store()),
-            None,
-            None,
-            None,
             listener,
             ServeConfig::default(),
-        )
-        .unwrap();
+        );
         assert_eq!(handle.addr(), addr);
         let mut client = HttpClient::connect(addr).unwrap();
         assert_eq!(client.get("/healthz").unwrap().status, 200);

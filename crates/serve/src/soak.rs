@@ -518,11 +518,36 @@ fn summarize(mut latencies: Vec<u64>) -> LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{serve_with_cache, ServeConfig};
-    use lantern_cache::{CacheConfig, CacheControl, CachedTranslator};
-    use lantern_core::RuleTranslator;
+    use crate::router::{Router, RouterParts};
+    use crate::server::{serve, ServeConfig, ServerHandle};
+    use lantern_cache::{CacheConfig, CachedTranslator};
+    use lantern_core::{RuleTranslator, Translator};
     use lantern_pool::default_mssql_store;
+    use std::net::TcpListener;
     use std::sync::Arc;
+
+    fn boot<T: Translator + Send + Sync + 'static>(
+        translator: T,
+        parts: RouterParts,
+        config: ServeConfig,
+    ) -> ServerHandle {
+        let router = Router::with_parts(translator, parts, &config);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        serve(router, listener, config).unwrap()
+    }
+
+    /// A server whose rule translator fronts a default narration cache.
+    fn boot_cached() -> ServerHandle {
+        let cached = Arc::new(CachedTranslator::new(
+            RuleTranslator::new(default_mssql_store()),
+            CacheConfig::default(),
+        ));
+        let parts = RouterParts {
+            cache: Some(cached.clone()),
+            ..RouterParts::default()
+        };
+        boot(cached, parts, ServeConfig::default())
+    }
 
     const DOC_A: &str = r#"{"Plan": {"Node Type": "Seq Scan", "Relation Name": "orders"}}"#;
     const DOC_B: &str = r#"{"Plan": {"Node Type": "Seq Scan", "Relation Name": "part"}}"#;
@@ -541,17 +566,7 @@ mod tests {
 
     #[test]
     fn soak_against_cached_server_reports_hit_ratio() {
-        let cached = Arc::new(CachedTranslator::new(
-            RuleTranslator::new(default_mssql_store()),
-            CacheConfig::default(),
-        ));
-        let handle = serve_with_cache(
-            Arc::clone(&cached),
-            Some(cached as Arc<dyn CacheControl + Send + Sync>),
-            "127.0.0.1:0",
-            ServeConfig::default(),
-        )
-        .unwrap();
+        let handle = boot_cached();
 
         // 2 unique documents in 6 requests: 2 misses + 4 hits. One
         // client keeps the hit accounting deterministic (no in-flight
@@ -619,20 +634,7 @@ mod tests {
 
     #[test]
     fn soak_multi_sums_counters_across_replicas() {
-        let boot = || {
-            let cached = Arc::new(CachedTranslator::new(
-                RuleTranslator::new(default_mssql_store()),
-                CacheConfig::default(),
-            ));
-            serve_with_cache(
-                Arc::clone(&cached),
-                Some(cached as Arc<dyn CacheControl + Send + Sync>),
-                "127.0.0.1:0",
-                ServeConfig::default(),
-            )
-            .unwrap()
-        };
-        let (a, b) = (boot(), boot());
+        let (a, b) = (boot_cached(), boot_cached());
 
         // Two clients, one per server; round-robin hands each client
         // the same doc twice: every server sees 1 miss + 1 hit.
@@ -670,15 +672,14 @@ mod tests {
 
     #[test]
     fn soak_against_uncached_metrics_off_server_skips_both_deltas() {
-        let handle = crate::server::serve(
+        let handle = boot(
             RuleTranslator::new(default_mssql_store()),
-            "127.0.0.1:0",
+            RouterParts::default(),
             ServeConfig {
                 metrics: false,
                 ..ServeConfig::default()
             },
-        )
-        .unwrap();
+        );
         let docs = vec![DOC_A.to_string(); 4];
         let report = run_soak(
             handle.addr(),
@@ -699,10 +700,9 @@ mod tests {
         handle.shutdown().unwrap();
     }
 
-    #[cfg(unix)]
     #[test]
     fn pipelined_soak_reports_server_side_pipelining() {
-        use lantern_core::{LanternError, NarrationRequest, NarrationResponse, Translator};
+        use lantern_core::{LanternError, NarrationRequest, NarrationResponse};
 
         // Slow enough that a burst's trailing requests are guaranteed
         // to arrive while the first is still being handled.
@@ -717,15 +717,14 @@ mod tests {
             }
         }
 
-        let handle = crate::server::serve(
+        let handle = boot(
             Slow(RuleTranslator::new(default_mssql_store())),
-            "127.0.0.1:0",
+            RouterParts::default(),
             ServeConfig {
                 workers: 1,
                 ..ServeConfig::default()
             },
-        )
-        .unwrap();
+        );
         let docs = vec![DOC_A.to_string(); 8];
         let report = run_soak(
             handle.addr(),

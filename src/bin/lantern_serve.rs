@@ -20,7 +20,7 @@ use lantern::gen::{FormatMix, GenConfig, PlanGenerator};
 use lantern::serve::soak::{run_soak, SoakConfig};
 use lantern::serve::ServeConfig;
 use lantern::text::json::JsonValue;
-use std::net::ToSocketAddrs;
+use std::net::{TcpListener, ToSocketAddrs};
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -45,9 +45,6 @@ OPTIONS:
     --queue-cap <N>       Dispatch-queue slots; requests arriving with the
                           queue full are shed with 503 + Retry-After
                           [default: 64]
-    --legacy-blocking     Serve on the original thread-per-connection
-                          blocking path instead of the event-driven
-                          readiness loop
     --no-cache            Disable the plan-fingerprint narration cache
                           (on by default: repeated plans answer from a
                           sharded LRU; see docs/SERVING.md)
@@ -110,7 +107,6 @@ struct Args {
     workers: usize,
     max_conns: usize,
     queue_cap: usize,
-    legacy_blocking: bool,
     cache_config: CacheConfig,
     no_cache: bool,
     metrics: bool,
@@ -138,7 +134,6 @@ fn parse_args() -> Result<Args, String> {
         workers: 0,
         max_conns: 4096,
         queue_cap: 64,
-        legacy_blocking: false,
         // The classroom workload is exactly what the cache exists for;
         // the binary serves cached unless told otherwise.
         cache_config: CacheConfig::default(),
@@ -185,7 +180,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--queue-cap: {e}"))?
             }
-            "--legacy-blocking" => args.legacy_blocking = true,
             "--no-cache" => args.no_cache = true,
             "--cache-entries" => {
                 args.cache_config.max_entries = value("--cache-entries")?
@@ -400,18 +394,23 @@ fn cluster_main(args: &ClusterArgs) -> Result<(), String> {
     let config = ClusterConfig {
         replicas,
         virtual_nodes: args.vnodes,
-        workers: args.workers,
         connect_timeout: Duration::from_millis(args.connect_timeout_ms),
         read_timeout: Duration::from_millis(args.read_timeout_ms),
         retry_backoff: Duration::from_millis(args.retry_backoff_ms),
         max_attempts: args.max_attempts,
         probe_interval: Duration::from_millis(args.probe_ms),
-        metrics: args.metrics,
-        slow_log_ms: args.slow_log_ms,
         ..ClusterConfig::default()
     };
-    let handle = serve_cluster(config, args.addr.as_str())
+    let serve_config = ServeConfig {
+        workers: args.workers,
+        metrics: args.metrics,
+        slow_log_ms: args.slow_log_ms,
+        ..ServeConfig::default()
+    };
+    let listener = TcpListener::bind(args.addr.as_str())
         .map_err(|e| format!("failed to bind {}: {e}", args.addr))?;
+    let handle = serve_cluster(config, listener, serve_config)
+        .map_err(|e| format!("failed to serve on {}: {e}", args.addr))?;
     // The smoke-test lane greps for this exact line before curling.
     println!(
         "lantern-serve cluster listening on http://{}",
@@ -425,7 +424,8 @@ fn cluster_main(args: &ClusterArgs) -> Result<(), String> {
     println!(
         "endpoints: POST /narrate, POST /narrate/batch, POST /narrate/diff, POST /narrate/diff/batch, GET /healthz, GET /stats, GET /metrics, GET /debug/slow, GET /catalog, POST /catalog/apply, POST /cache/clear (see docs/SERVING.md)"
     );
-    // Serve until the process is killed; the worker pool does the work.
+    // Serve until the process is killed; the event loop and its worker
+    // pool do the work.
     loop {
         std::thread::sleep(Duration::from_secs(3600));
     }
@@ -563,23 +563,26 @@ fn main() {
     if let Some(cache) = args.cache() {
         builder = builder.cache(cache);
     }
+    let listener = TcpListener::bind(&args.addr).unwrap_or_else(|e| {
+        eprintln!("error: failed to bind {}: {e}", args.addr);
+        std::process::exit(1);
+    });
     let handle = builder
         .build()
         .expect("assemble service")
         .serve(
-            &args.addr,
+            listener,
             ServeConfig {
                 workers: args.workers,
                 max_conns: args.max_conns,
                 queue_depth: args.queue_cap,
-                legacy_blocking: args.legacy_blocking,
                 metrics: args.metrics,
                 slow_log_ms: args.slow_log_ms,
                 ..ServeConfig::default()
             },
         )
         .unwrap_or_else(|e| {
-            eprintln!("error: failed to bind {}: {e}", args.addr);
+            eprintln!("error: failed to serve on {}: {e}", args.addr);
             std::process::exit(1);
         });
     // The smoke-test lane greps for this exact line before curling.

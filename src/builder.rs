@@ -31,7 +31,10 @@ use lantern_neuron::Neuron;
 use lantern_paraphrase::ParaphrasedTranslator;
 use lantern_plan::PlanTree;
 use lantern_pool::{default_mssql_store, PoemStore};
-use lantern_serve::{CatalogApplied, CatalogApplyError, CatalogControl, ServeConfig, ServerHandle};
+use lantern_serve::{
+    CatalogApplied, CatalogApplyError, CatalogControl, Router, RouterParts, ServeConfig,
+    ServerHandle,
+};
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -207,12 +210,12 @@ impl LanternBuilder {
     /// ```
     ///
     /// Bind failures surface as [`LanternError::Config`]; use
-    /// [`LanternService::serve`] to pass a custom [`ServeConfig`] or
-    /// keep the `std::io::Error`.
+    /// [`LanternService::serve`] to pass your own listener and
+    /// [`ServeConfig`] or keep the `std::io::Error`.
     pub fn serve(self, addr: impl ToSocketAddrs) -> Result<ServerHandle, LanternError> {
         let service = self.build()?;
-        service
-            .serve(addr, ServeConfig::default())
+        std::net::TcpListener::bind(addr)
+            .and_then(|listener| service.serve(listener, ServeConfig::default()))
             .map_err(|e| LanternError::Config {
                 message: format!("failed to start narration server: {e}"),
             })
@@ -316,55 +319,29 @@ impl LanternService {
         self.narrate(&NarrationRequest::auto(doc)?)
     }
 
-    /// Boot an HTTP narration server over this service (consuming it —
-    /// the server's worker pool owns the service from here on). See
-    /// [`lantern_serve::serve`] for the endpoint set and semantics.
-    /// When the service carries a narration cache, the server's router
-    /// additionally honours `?nocache=1`, routes `POST /cache/clear`,
-    /// and merges cache counters into `GET /stats`.
+    /// Serve this service over HTTP on `listener` (consuming it — the
+    /// server's worker pool owns the service from here on). See
+    /// [`lantern_serve::serve`] for the serving core. The router gets
+    /// every surface the service has: plan diff, the catalog admin
+    /// surface a cluster coordinator replicates through, and — when the
+    /// service carries a narration cache — `?nocache=1`,
+    /// `POST /cache/clear`, and cache counters in `GET /stats`. Bind
+    /// through [`lantern_serve::reusable_listener`] to reclaim a port a
+    /// previous server just vacated.
     pub fn serve(
-        self,
-        addr: impl ToSocketAddrs,
-        config: ServeConfig,
-    ) -> std::io::Result<ServerHandle> {
-        let has_cache = self.has_cache();
-        let service = Arc::new(self);
-        let cache: Option<Arc<dyn CacheControl + Send + Sync>> = if has_cache {
-            Some(Arc::clone(&service) as _)
-        } else {
-            None
-        };
-        let diff: Arc<dyn DiffTranslator + Send + Sync> = Arc::clone(&service) as _;
-        let catalog: Arc<dyn CatalogControl + Send + Sync> = Arc::clone(&service) as _;
-        lantern_serve::serve_node(service, cache, Some(diff), Some(catalog), addr, config)
-    }
-
-    /// [`LanternService::serve`] over a listener the caller already
-    /// bound (typically through [`lantern_serve::reusable_listener`],
-    /// so a restarted replica can reclaim its old port while prior
-    /// connections sit in `TIME_WAIT`).
-    pub fn serve_on_listener(
         self,
         listener: std::net::TcpListener,
         config: ServeConfig,
     ) -> std::io::Result<ServerHandle> {
         let has_cache = self.has_cache();
         let service = Arc::new(self);
-        let cache: Option<Arc<dyn CacheControl + Send + Sync>> = if has_cache {
-            Some(Arc::clone(&service) as _)
-        } else {
-            None
+        let parts = RouterParts {
+            cache: has_cache.then(|| Arc::clone(&service) as _),
+            diff: Some(Arc::clone(&service) as _),
+            catalog: Some(Arc::clone(&service) as _),
         };
-        let diff: Arc<dyn DiffTranslator + Send + Sync> = Arc::clone(&service) as _;
-        let catalog: Arc<dyn CatalogControl + Send + Sync> = Arc::clone(&service) as _;
-        lantern_serve::serve_on_listener(
-            service,
-            cache,
-            Some(diff),
-            Some(catalog),
-            listener,
-            config,
-        )
+        let router = Router::with_parts(service, parts, &config);
+        lantern_serve::serve(router, listener, config)
     }
 
     /// Apply the service's configured style to a response from a

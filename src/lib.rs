@@ -55,8 +55,8 @@
 //! | `neuron::Neuron::new().describe_text(&tree)` | `LanternBuilder::new().backend(Backend::Neuron).build()?.narrate(...)` |
 //! | vendor-specific error strings | structured [`LanternError`](lantern_core::LanternError) variants |
 //!
-//! The old methods still compile (as deprecated thin wrappers) but emit
-//! warnings; they will be removed in a future major release.
+//! The old per-vendor methods have been removed; the table is the whole
+//! migration.
 //!
 //! This crate re-exports every subsystem so downstream users can depend
 //! on a single crate.

@@ -49,7 +49,7 @@ fn boot_replica_on(listener: TcpListener) -> ServerHandle {
         })
         .build()
         .expect("assemble replica service")
-        .serve_on_listener(
+        .serve(
             listener,
             ServeConfig {
                 workers: 2,
@@ -71,14 +71,17 @@ fn boot_coordinator(replicas: Vec<SocketAddr>) -> ClusterHandle {
         ClusterConfig {
             replicas,
             virtual_nodes: VNODES,
-            workers: 2,
             connect_timeout: Duration::from_millis(250),
             read_timeout: Duration::from_millis(1500),
             retry_backoff: Duration::from_millis(5),
             probe_interval: Duration::from_millis(50),
             ..ClusterConfig::default()
         },
-        "127.0.0.1:0",
+        TcpListener::bind("127.0.0.1:0").expect("bind coordinator"),
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
     )
     .expect("coordinator boots")
 }
@@ -392,7 +395,6 @@ fn stalled_replica_trips_read_timeout_and_fails_over() {
         ClusterConfig {
             replicas: addrs.clone(),
             virtual_nodes: VNODES,
-            workers: 2,
             connect_timeout: Duration::from_millis(250),
             // Short enough that a stalled narration fails over fast;
             // the probe's GET /catalog is answered, so only stalled
@@ -402,7 +404,11 @@ fn stalled_replica_trips_read_timeout_and_fails_over() {
             probe_interval: Duration::from_millis(50),
             ..ClusterConfig::default()
         },
-        "127.0.0.1:0",
+        TcpListener::bind("127.0.0.1:0").expect("bind coordinator"),
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
     )
     .expect("coordinator boots");
 

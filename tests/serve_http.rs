@@ -577,20 +577,17 @@ fn diff_envelope_rejections_over_sockets() {
 }
 
 /// Event-core behaviour over raw sockets — HTTP/1.1 pipelining,
-/// slow-loris isolation, and load-shedding. The readiness loop is
-/// Unix-only (`epoll`/`poll`), so these tests are too; non-Unix
-/// targets serve through the legacy blocking path instead.
-#[cfg(unix)]
+/// slow-loris isolation, and load-shedding.
 mod event_core {
     use super::{json_of, raw_exchange};
     use lantern::core::{
         LanternError, NarrationRequest, NarrationResponse, RuleTranslator, Translator,
     };
     use lantern::prelude::*;
-    use lantern::serve::serve;
+    use lantern::serve::{serve, Router, RouterParts};
     use lantern::text::json::JsonValue;
     use std::io::Write;
-    use std::net::TcpStream;
+    use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
 
     fn pg_doc(relation: &str) -> String {
@@ -641,7 +638,7 @@ mod event_core {
             .build()
             .unwrap()
             .serve(
-                "127.0.0.1:0",
+                TcpListener::bind("127.0.0.1:0").unwrap(),
                 ServeConfig {
                     workers: 1,
                     ..ServeConfig::default()
@@ -679,16 +676,17 @@ mod event_core {
             }
         }
 
-        let server = serve(
+        let config = ServeConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..ServeConfig::default()
+        };
+        let router = Router::with_parts(
             Slow(RuleTranslator::new(lantern::pool::default_mssql_store())),
-            "127.0.0.1:0",
-            ServeConfig {
-                workers: 1,
-                queue_depth: 1,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
+            RouterParts::default(),
+            &config,
+        );
+        let server = serve(router, TcpListener::bind("127.0.0.1:0").unwrap(), config).unwrap();
 
         // Eight requests in one write against a 25 ms worker behind a
         // one-slot queue: the first is accepted, most of the rest
