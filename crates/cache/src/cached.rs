@@ -28,8 +28,8 @@ use crate::fingerprint::{
 };
 use crate::lru::{LruStats, ShardedLru};
 use lantern_core::{
-    LanternError, Narration, NarrationRequest, NarrationResponse, PlanSource, RenderStyle,
-    Translator,
+    write_response_json, LanternError, Narration, NarrationRequest, NarrationResponse, PlanSource,
+    RenderStyle, Translator,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -379,13 +379,38 @@ impl<T: Translator> CachedTranslator<T> {
         entry
     }
 
+    /// Answer one request: from the cache when its key is resident (or
+    /// another thread's flight fills it), else from the inner backend.
+    /// Unkeyable requests go straight to the backend.
+    fn answer(&self, req: &NarrationRequest) -> Result<Answer, LanternError> {
+        let (key, parsed) = {
+            let _fp = lantern_obs::span(lantern_obs::Stage::Fingerprint);
+            self.request_key(req)
+        };
+        let Some(key) = key else {
+            return self.inner.narrate(req).map(Answer::Fresh);
+        };
+        // Ties the plan's cache key to the request id in the slow log
+        // (no-op unless a trace is active on this thread).
+        lantern_obs::note_fingerprint(key.0);
+        let hit = {
+            let _lookup = lantern_obs::span(lantern_obs::Stage::CacheLookup);
+            self.cache.lru.get(key)
+        };
+        if let Some(entry) = hit {
+            return Ok(Answer::Resident(entry));
+        }
+        let rewritten = Self::miss_request(req, parsed);
+        self.narrate_miss(key, rewritten.as_ref().unwrap_or(req))
+    }
+
     /// Miss path with single-flight coalescing: become the leader (and
     /// narrate), or wait for the leader's outcome.
     fn narrate_miss(
         &self,
         key: Fingerprint,
         req: &NarrationRequest,
-    ) -> Result<NarrationResponse, LanternError> {
+    ) -> Result<Answer, LanternError> {
         let flight = {
             let mut inflight = self
                 .cache
@@ -403,7 +428,7 @@ impl<T: Translator> CachedTranslator<T> {
                         done = flight.cv.wait(done).unwrap_or_else(|e| e.into_inner());
                     }
                     let outcome = done.clone().expect("loop exits only when published");
-                    return outcome.map(|entry| self.response_of(&entry));
+                    return outcome.map(Answer::Resident);
                 }
                 None => {
                     let flight = Arc::new(InFlight {
@@ -428,9 +453,8 @@ impl<T: Translator> CachedTranslator<T> {
         // flight; serving the resident narration avoids a duplicate
         // backend call (~ms on the neural backend).
         if let Some(entry) = self.cache.lru.probe(key) {
-            let response = self.response_of(&entry);
-            guard.publish(Ok(entry));
-            return Ok(response);
+            guard.publish(Ok(entry.clone()));
+            return Ok(Answer::Resident(entry));
         }
         let result = self.inner.narrate(req);
         let outcome = match &result {
@@ -438,8 +462,16 @@ impl<T: Translator> CachedTranslator<T> {
             Err(e) => Err(e.clone()),
         };
         guard.publish(outcome);
-        result
+        result.map(Answer::Fresh)
     }
+}
+
+/// Where a cached translator's answer came from: a resident entry
+/// (shared, so a response must be built from it or written out of
+/// it), or a response the inner backend just produced (owned).
+enum Answer {
+    Resident(CachedEntry),
+    Fresh(NarrationResponse),
 }
 
 /// Publishes the leader's outcome exactly once; if the leader panics
@@ -489,25 +521,24 @@ impl<T: Translator> Translator for CachedTranslator<T> {
     }
 
     fn narrate(&self, req: &NarrationRequest) -> Result<NarrationResponse, LanternError> {
-        let (key, parsed) = {
-            let _fp = lantern_obs::span(lantern_obs::Stage::Fingerprint);
-            self.request_key(req)
-        };
-        let Some(key) = key else {
-            return self.inner.narrate(req);
-        };
-        // Ties the plan's cache key to the request id in the slow log
-        // (no-op unless a trace is active on this thread).
-        lantern_obs::note_fingerprint(|| format!("{:032x}", key.0));
-        let hit = {
-            let _lookup = lantern_obs::span(lantern_obs::Stage::CacheLookup);
-            self.cache.lru.get(key)
-        };
-        if let Some(entry) = hit {
-            return Ok(self.response_of(&entry));
+        Ok(match self.answer(req)? {
+            Answer::Resident(entry) => self.response_of(&entry),
+            Answer::Fresh(resp) => resp,
+        })
+    }
+
+    /// Writes a hit straight from the resident entry: no response is
+    /// built, so none of the narration's strings are cloned.
+    fn narrate_json(&self, req: &NarrationRequest, out: &mut String) -> Result<(), LanternError> {
+        let answer = self.answer(req)?;
+        let _render = lantern_obs::span(lantern_obs::Stage::Render);
+        match answer {
+            Answer::Resident(entry) => {
+                write_response_json(self.inner.backend(), &entry.narration, &entry.text, out)
+            }
+            Answer::Fresh(resp) => resp.write_json(out),
         }
-        let rewritten = Self::miss_request(req, parsed);
-        self.narrate_miss(key, rewritten.as_ref().unwrap_or(req))
+        Ok(())
     }
 
     /// In-batch dedup: fingerprint everything, answer resident keys

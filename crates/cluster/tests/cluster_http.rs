@@ -603,3 +603,56 @@ fn held_keep_alive_connection_does_not_block_a_one_worker_coordinator() {
         replica.shutdown().unwrap();
     }
 }
+
+/// Acceptance: plan documents nested far past the readers' depth limit
+/// (a few hundred KB each) are structured 400s through the coordinator,
+/// which derives its shard key by parsing them, and neither the
+/// coordinator nor a replica goes down.
+#[test]
+fn deeply_nested_documents_are_400s_and_the_fleet_keeps_serving() {
+    let replicas: Vec<ServerHandle> = (0..2).map(|_| boot_replica()).collect();
+    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr()).collect();
+    let coordinator = boot_coordinator(addrs.clone());
+    let mut client = HttpClient::connect(coordinator.addr()).expect("connect");
+
+    let deep_json = "{\"Plan\":".repeat(20_000);
+    let deep_xml = "<a>".repeat(60_000);
+    let batch = JsonValue::Array(vec![JsonValue::String(deep_json.clone())]).to_string_compact();
+    for (path, body) in [
+        ("/narrate", deep_json.clone()),
+        ("/narrate", deep_xml),
+        ("/narrate/batch", "[".repeat(20_000)),
+    ] {
+        let resp = client.post(path, &body).expect("post");
+        assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+        let kind = resp
+            .json()
+            .expect("json error body")
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(JsonValue::as_str)
+            .map(str::to_string);
+        assert_eq!(kind.as_deref(), Some("parse"), "{path}");
+    }
+    // A deep batch item fails alone; the envelope is fine.
+    let resp = client.post("/narrate/batch", &batch).expect("batch");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(resp.json().unwrap().as_array().unwrap()[0]
+        .get("error")
+        .is_some());
+
+    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+    for addr in &addrs {
+        let mut direct = HttpClient::connect(*addr).expect("connect replica");
+        assert_eq!(direct.get("/healthz").expect("healthz").status, 200);
+    }
+    let resp = client
+        .post("/narrate", &plan_doc("after_deep"))
+        .expect("post");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+
+    coordinator.shutdown().unwrap();
+    for replica in replicas {
+        replica.shutdown().unwrap();
+    }
+}

@@ -360,6 +360,19 @@ pub trait Translator {
     ) -> Vec<Result<NarrationResponse, LanternError>> {
         reqs.iter().map(|r| self.narrate(r)).collect()
     }
+
+    /// Narrate one request and append its service success body (see
+    /// [`NarrationResponse::write_json`]) to `out`; on `Err`, `out` is
+    /// untouched. The default narrates, then writes. A translator that
+    /// holds its narrations in another form (the narration cache) can
+    /// write them without building a response first. The write runs
+    /// under the `render` stage span.
+    fn narrate_json(&self, req: &NarrationRequest, out: &mut String) -> Result<(), LanternError> {
+        let resp = self.narrate(req)?;
+        let _render = lantern_obs::span(lantern_obs::Stage::Render);
+        resp.write_json(out);
+        Ok(())
+    }
 }
 
 impl<T: Translator + ?Sized> Translator for &T {
@@ -376,6 +389,10 @@ impl<T: Translator + ?Sized> Translator for &T {
         reqs: &[NarrationRequest],
     ) -> Vec<Result<NarrationResponse, LanternError>> {
         (**self).narrate_batch(reqs)
+    }
+
+    fn narrate_json(&self, req: &NarrationRequest, out: &mut String) -> Result<(), LanternError> {
+        (**self).narrate_json(req, out)
     }
 }
 
@@ -394,6 +411,10 @@ impl<T: Translator + ?Sized> Translator for std::sync::Arc<T> {
     ) -> Vec<Result<NarrationResponse, LanternError>> {
         (**self).narrate_batch(reqs)
     }
+
+    fn narrate_json(&self, req: &NarrationRequest, out: &mut String) -> Result<(), LanternError> {
+        (**self).narrate_json(req, out)
+    }
 }
 
 impl<T: Translator + ?Sized> Translator for Box<T> {
@@ -410,6 +431,10 @@ impl<T: Translator + ?Sized> Translator for Box<T> {
         reqs: &[NarrationRequest],
     ) -> Vec<Result<NarrationResponse, LanternError>> {
         (**self).narrate_batch(reqs)
+    }
+
+    fn narrate_json(&self, req: &NarrationRequest, out: &mut String) -> Result<(), LanternError> {
+        (**self).narrate_json(req, out)
     }
 }
 

@@ -20,7 +20,8 @@
 //!   backends (rule, neural, NEURON baseline) implement, with
 //!   source-agnostic [`PlanSource`] inputs, structured
 //!   [`LanternError`]s, and batched narration.
-//! * [`wire`] — the stable JSON wire format for [`Narration`]s.
+//! * [`wire`] — the stable JSON wire format for [`Narration`]s and the
+//!   direct writer that puts service responses on the wire.
 //! * [`Lantern`] — the end-to-end facade gluing plan parsing, the POEM
 //!   store, and the translators together (now a thin layer over
 //!   [`api`]).
@@ -45,3 +46,4 @@ pub use facade::Lantern;
 pub use lot::{build_lot, CoreError, LotNode, LotTree};
 pub use narrate::{narrate_with_lookup, Narration, NarrationStep, RenderStyle, RuleLantern};
 pub use tags::{abstract_tags, substitute_tags, TagBinding};
+pub use wire::write_response_json;

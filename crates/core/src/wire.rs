@@ -9,13 +9,22 @@
 //!             "bindings": [["<T>", "T1"]]}]}
 //! ```
 //!
-//! Serialization uses the in-tree JSON value model (`lantern_text`), so
-//! the output is deterministic (object keys are sorted).
+//! Two renderings produce the same bytes. The `write_json` methods
+//! (and [`write_response_json`]) append the JSON straight to a
+//! `String`, keys in sorted order; they are what the service writes to
+//! the wire. The `to_json_value` methods build the in-tree JSON value
+//! model (`lantern_text`), whose objects sort their keys too; they stay
+//! as the independent reference the writers are tested against.
+//!
+//! A service response wraps a narration as
+//! `{"backend": "...", "narration": {"steps": [...]}, "text": "..."}`.
 
+use crate::api::NarrationResponse;
 use crate::narrate::{Narration, NarrationStep};
 use crate::tags::TagBinding;
-use lantern_text::json::{JsonError, JsonValue};
+use lantern_text::json::{write_json_string, JsonError, JsonValue};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 fn shape_err(message: impl Into<String>) -> JsonError {
     JsonError {
@@ -31,7 +40,72 @@ fn string_field(obj: &JsonValue, key: &str) -> Result<String, JsonError> {
         .ok_or_else(|| shape_err(format!("missing string field '{key}'")))
 }
 
+/// Append `items` as a JSON array, writing each with `write`.
+fn write_array<T>(out: &mut String, items: &[T], mut write: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
+    }
+    out.push(']');
+}
+
+/// Append a service success body — `{"backend":…,"narration":…,"text":…}`
+/// — for `narration` rendered as `text`. The narration cache writes a
+/// hit from its resident entry through this, without assembling a
+/// [`NarrationResponse`] first.
+pub fn write_response_json(backend: &str, narration: &Narration, text: &str, out: &mut String) {
+    // The text, each step's text and tagged form, and the bindings
+    // repeat roughly the same words: about three times the text.
+    out.reserve(3 * text.len() + 64);
+    out.push_str("{\"backend\":");
+    write_json_string(out, backend);
+    out.push_str(",\"narration\":");
+    narration.write_json(out);
+    out.push_str(",\"text\":");
+    write_json_string(out, text);
+    out.push('}');
+}
+
+impl NarrationResponse {
+    /// Append this response's service success body to `out`; the same
+    /// bytes as the sorted-key `JsonValue` object of its three fields.
+    pub fn write_json(&self, out: &mut String) {
+        write_response_json(&self.backend, &self.narration, &self.text, out);
+    }
+}
+
 impl NarrationStep {
+    /// Append the step's wire form to `out`; the same bytes as
+    /// [`NarrationStep::to_json_value`] rendered compactly.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"bindings\":");
+        write_array(out, &self.bindings, |out, (tag, value)| {
+            out.push('[');
+            write_json_string(out, tag);
+            out.push(',');
+            write_json_string(out, value);
+            out.push(']');
+        });
+        out.push_str(",\"index\":");
+        // The value model holds numbers as `f64` and prints integers
+        // below 9e15 without a fraction; match it past that too.
+        let _ = if self.index < 9_000_000_000_000_000 {
+            write!(out, "{}", self.index)
+        } else {
+            write!(out, "{}", self.index as f64)
+        };
+        out.push_str(",\"ops\":");
+        write_array(out, &self.ops, |out, op| write_json_string(out, op));
+        out.push_str(",\"tagged\":");
+        write_json_string(out, &self.tagged);
+        out.push_str(",\"text\":");
+        write_json_string(out, &self.text);
+        out.push('}');
+    }
+
     /// The step as a JSON value.
     pub fn to_json_value(&self) -> JsonValue {
         let mut obj = BTreeMap::new();
@@ -111,6 +185,14 @@ impl NarrationStep {
 }
 
 impl Narration {
+    /// Append the narration's wire form to `out`; the same bytes as
+    /// [`Narration::to_json_value`] rendered compactly.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"steps\":");
+        write_array(out, self.steps(), |out, step| step.write_json(out));
+        out.push('}');
+    }
+
     /// The narration as a JSON value.
     pub fn to_json_value(&self) -> JsonValue {
         let mut obj = BTreeMap::new();
@@ -128,7 +210,9 @@ impl Narration {
 
     /// Serialize to a compact JSON string.
     pub fn to_json(&self) -> String {
-        self.to_json_value().to_string_compact()
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 
     /// Parse a narration from its JSON wire form.
@@ -229,6 +313,130 @@ mod tests {
                     "tagged": "x", "bindings": []}}]}}"#
             );
             assert!(Narration::from_json(&doc).is_err(), "{bad}");
+        }
+    }
+
+    /// The success body as the sorted-key value model renders it: the
+    /// reference every direct write must equal byte for byte.
+    fn reference_body(resp: &NarrationResponse) -> String {
+        let mut obj = BTreeMap::new();
+        obj.insert(
+            "backend".to_string(),
+            JsonValue::String(resp.backend.clone()),
+        );
+        obj.insert("narration".to_string(), resp.narration.to_json_value());
+        obj.insert("text".to_string(), JsonValue::String(resp.text.clone()));
+        JsonValue::Object(obj).to_string_compact()
+    }
+
+    fn written(resp: &NarrationResponse) -> String {
+        let mut out = String::new();
+        resp.write_json(&mut out);
+        out
+    }
+
+    #[test]
+    fn writer_matches_the_value_model_on_awkward_steps() {
+        let awkward = [
+            "quote \" backslash \\ newline \n tab \t cr \r",
+            "\u{1}\u{1f}\u{7f} control",
+            "café → naïve 😀",
+            "",
+        ];
+        let steps: Vec<NarrationStep> = awkward
+            .iter()
+            .enumerate()
+            .map(|(i, s)| NarrationStep {
+                index: i + 1,
+                ops: if i % 2 == 0 {
+                    Vec::new()
+                } else {
+                    vec![s.to_string(), "Hash Join".to_string()]
+                },
+                text: s.to_string(),
+                tagged: format!("<T> {s}"),
+                bindings: if i % 2 == 0 {
+                    TagBinding::new()
+                } else {
+                    vec![("<T>".to_string(), s.to_string())]
+                },
+            })
+            .collect();
+        let narration = Narration::from_steps(steps);
+        assert_eq!(
+            narration.to_json(),
+            narration.to_json_value().to_string_compact()
+        );
+        let resp = NarrationResponse {
+            backend: "rule \"x\"".to_string(),
+            text: awkward.join("\n"),
+            narration,
+        };
+        assert_eq!(written(&resp), reference_body(&resp));
+        // Each step on its own, and an empty narration.
+        for step in resp.narration.steps() {
+            let mut out = String::new();
+            step.write_json(&mut out);
+            assert_eq!(out, step.to_json_value().to_string_compact());
+        }
+        let empty = NarrationResponse {
+            backend: String::new(),
+            narration: Narration::from_steps(Vec::new()),
+            text: String::new(),
+        };
+        assert_eq!(written(&empty), reference_body(&empty));
+        assert_eq!(
+            written(&empty),
+            r#"{"backend":"","narration":{"steps":[]},"text":""}"#
+        );
+    }
+
+    #[test]
+    fn writer_matches_the_value_model_on_rule_narrations() {
+        let store = default_pg_store();
+        let narration = RuleLantern::new(&store).narrate(&figure_4()).unwrap();
+        for style in [
+            crate::RenderStyle::Numbered,
+            crate::RenderStyle::Paragraph,
+            crate::RenderStyle::Bulleted,
+        ] {
+            let resp = NarrationResponse::new("rule", narration.clone(), style);
+            assert_eq!(written(&resp), reference_body(&resp));
+        }
+    }
+
+    #[test]
+    fn writer_appends_and_matches_the_free_function() {
+        let narration = Narration::from_sentences(["scan t.".to_string()]);
+        let resp = NarrationResponse::new("rule", narration, crate::RenderStyle::Numbered);
+        let mut out = String::from("[");
+        resp.write_json(&mut out);
+        out.push(',');
+        write_response_json(&resp.backend, &resp.narration, &resp.text, &mut out);
+        out.push(']');
+        let body = reference_body(&resp);
+        assert_eq!(out, format!("[{body},{body}]"));
+    }
+
+    #[test]
+    fn index_past_the_integer_range_matches_the_value_model() {
+        for index in [
+            0,
+            7,
+            8_999_999_999_999_999,
+            9_000_000_000_000_000,
+            usize::MAX,
+        ] {
+            let step = NarrationStep {
+                index,
+                ops: Vec::new(),
+                text: String::new(),
+                tagged: String::new(),
+                bindings: TagBinding::new(),
+            };
+            let mut out = String::new();
+            step.write_json(&mut out);
+            assert_eq!(out, step.to_json_value().to_string_compact(), "{index}");
         }
     }
 }

@@ -131,13 +131,14 @@ pub struct SlowEntry {
     pub total_ns: u64,
     /// Nanoseconds per stage, indexed like [`Stage::ALL`].
     pub stage_ns: [u64; Stage::COUNT],
-    /// Canonical plan fingerprint (hex), when a cache layer noted one.
-    pub fingerprint: Option<String>,
+    /// Canonical plan fingerprint, when a cache layer noted one.
+    /// `/debug/slow` shows it as 32 lowercase hex digits.
+    pub fingerprint: Option<u128>,
 }
 
 struct ActiveTrace {
     stage_ns: [u64; Stage::COUNT],
-    fingerprint: Option<String>,
+    fingerprint: Option<u128>,
 }
 
 thread_local! {
@@ -406,15 +407,13 @@ impl Drop for SpanGuard {
 }
 
 /// Attach a plan fingerprint to the active trace (first caller wins —
-/// a batch request keeps its first item's fingerprint). The closure
-/// only runs when a trace is active, so callers can defer hex
-/// formatting.
-pub fn note_fingerprint<F: FnOnce() -> String>(fingerprint: F) {
+/// a batch request keeps its first item's fingerprint). Without an
+/// active trace this is a no-op. The value is stored as is; it is
+/// formatted only when the slow log is read.
+pub fn note_fingerprint(fingerprint: u128) {
     ACTIVE.with(|active| {
         if let Some(trace) = active.borrow_mut().as_mut() {
-            if trace.fingerprint.is_none() {
-                trace.fingerprint = Some(fingerprint());
-            }
+            trace.fingerprint.get_or_insert(fingerprint);
         }
     });
 }
@@ -436,8 +435,8 @@ mod tests {
             let _narrate = span(Stage::Narrate);
             std::thread::sleep(Duration::from_millis(1));
         }
-        note_fingerprint(|| "deadbeef".to_string());
-        note_fingerprint(|| unreachable!("first fingerprint wins"));
+        note_fingerprint(0xdead_beef);
+        note_fingerprint(0x1234); // first fingerprint wins
         trace.finish(200);
 
         assert_eq!(recorder.request_snapshot().count, 1);
@@ -450,7 +449,7 @@ mod tests {
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].path, "/narrate");
         assert_eq!(slow[0].status, 200);
-        assert_eq!(slow[0].fingerprint.as_deref(), Some("deadbeef"));
+        assert_eq!(slow[0].fingerprint, Some(0xdead_beef));
         assert!(slow[0].stage_ns[Stage::Parse as usize] >= 2_000_000);
         assert!(slow[0].total_ns >= 3_000_000);
         // Threshold filtering.
@@ -478,7 +477,8 @@ mod tests {
     #[test]
     fn span_outside_a_trace_is_inert() {
         let _s = span(Stage::Narrate);
-        note_fingerprint(|| unreachable!("no active trace"));
+        note_fingerprint(7);
+        assert!(ACTIVE.with(|active| active.borrow().is_none()));
     }
 
     #[test]

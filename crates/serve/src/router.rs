@@ -4,9 +4,10 @@
 //!
 //! The wire format (see `docs/SERVING.md`):
 //!
-//! * success — `{"backend": "...", "text": "...", "narration":
-//!   {"steps": [...]}}` where `narration` is exactly
-//!   [`Narration::to_json`](lantern_core::Narration::to_json);
+//! * success — `{"backend": "...", "narration": {"steps": [...]},
+//!   "text": "..."}` where `narration` is exactly
+//!   [`Narration::to_json`](lantern_core::Narration::to_json), written
+//!   straight into the body by [`Translator::narrate_json`];
 //! * failure — `{"error": {"kind": "...", "message": "...",
 //!   "status": N}}` with the status code duplicated in the HTTP
 //!   status line, mapped through [`LanternError::http_status`].
@@ -16,8 +17,8 @@ use crate::http::{Request, Response, REQUEST_ID_HEADER};
 use crate::server::{Handler, ServeConfig, ServeStats};
 use lantern_cache::{CacheControl, CacheStatsSnapshot};
 use lantern_core::{
-    DiffRequest, DiffResponse, DiffTranslator, LanternError, NarrationRequest, NarrationResponse,
-    PlanSource, RenderStyle, Translator,
+    DiffRequest, DiffResponse, DiffTranslator, LanternError, NarrationRequest, PlanSource,
+    RenderStyle, Translator,
 };
 use lantern_obs::{span, Recorder, RecorderConfig, Stage};
 use lantern_text::json::JsonValue;
@@ -49,17 +50,6 @@ pub fn error_body_raw(kind: &str, message: &str, status: u16) -> JsonValue {
 /// failure.
 pub fn error_response(err: &LanternError) -> Response {
     Response::json(err.http_status(), error_body(err).to_string_compact())
-}
-
-fn narration_value(resp: &NarrationResponse) -> JsonValue {
-    let mut obj = BTreeMap::new();
-    obj.insert(
-        "backend".to_string(),
-        JsonValue::String(resp.backend.clone()),
-    );
-    obj.insert("text".to_string(), JsonValue::String(resp.text.clone()));
-    obj.insert("narration".to_string(), resp.narration.to_json_value());
-    JsonValue::Object(obj)
 }
 
 fn parse_style(raw: &str) -> Result<RenderStyle, String> {
@@ -286,20 +276,26 @@ impl<T: Translator> Router<T> {
             let _parse = span(Stage::Parse);
             Self::build_request(doc, style)
         };
+        // The translator writes the success body itself (under the
+        // `render` span), so a cache hit goes to the wire straight
+        // from the resident entry.
+        let mut body = String::new();
         let narrated = parsed.and_then(|r| {
             let _narrate = span(Stage::Narrate);
             match (&self.parts.cache, Self::wants_nocache(req)) {
                 // `?nocache=1` routes around the cache (neither
                 // consulted nor filled) when one is configured.
-                (Some(cache), true) => cache.narrate_uncached(&r),
-                _ => self.translator.narrate(&r),
+                (Some(cache), true) => cache.narrate_uncached(&r).map(|resp| {
+                    let _render = span(Stage::Render);
+                    resp.write_json(&mut body);
+                }),
+                _ => self.translator.narrate_json(&r, &mut body),
             }
         });
         match narrated {
-            Ok(resp) => {
+            Ok(()) => {
                 self.stats.narrate_ok.fetch_add(1, Ordering::Relaxed);
-                let _render = span(Stage::Render);
-                Response::json(200, narration_value(&resp).to_string_compact())
+                Response::json(200, body)
             }
             Err(err) => {
                 self.stats.narrate_errors.fetch_add(1, Ordering::Relaxed);
@@ -394,8 +390,11 @@ impl<T: Translator> Router<T> {
         };
         let _render = span(Stage::Render);
         let mut narrated = narrated.into_iter();
-        let mut out = Vec::with_capacity(placements.len());
-        for placement in placements {
+        let mut out = String::from("[");
+        for (i, placement) in placements.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
             let result = match placement {
                 // A conforming backend returns one result per request;
                 // treat a short answer as that backend's error rather
@@ -408,18 +407,19 @@ impl<T: Translator> Router<T> {
                 }),
                 Err(e) => Err(e),
             };
-            out.push(match result {
+            match result {
                 Ok(resp) => {
                     self.stats.narrate_ok.fetch_add(1, Ordering::Relaxed);
-                    narration_value(&resp)
+                    resp.write_json(&mut out);
                 }
                 Err(err) => {
                     self.stats.narrate_errors.fetch_add(1, Ordering::Relaxed);
-                    error_body(&err)
+                    out.push_str(&error_body(&err).to_string_compact());
                 }
-            });
+            }
         }
-        Response::json(200, JsonValue::Array(out).to_string_compact())
+        out.push(']');
+        Response::json(200, out)
     }
 
     /// `GET /healthz` — liveness plus which backend is live.
@@ -861,7 +861,10 @@ pub fn slow_log_value(recorder: &Recorder, threshold_ms: u64) -> JsonValue {
             );
             obj.insert("stages_us".to_string(), JsonValue::Object(stages));
             if let Some(fp) = entry.fingerprint {
-                obj.insert("fingerprint".to_string(), JsonValue::String(fp));
+                obj.insert(
+                    "fingerprint".to_string(),
+                    JsonValue::String(format!("{fp:032x}")),
+                );
             }
             JsonValue::Object(obj)
         })
@@ -1683,12 +1686,98 @@ mod tests {
             .and_then(JsonValue::as_str)
             .expect("fingerprint recorded");
         assert_eq!(fingerprint.len(), 32);
-        assert!(fingerprint.chars().all(|c| c.is_ascii_hexdigit()));
+        assert!(fingerprint
+            .chars()
+            .all(|c| c.is_ascii_digit() || ('a'..='f').contains(&c)));
 
         // A threshold far above the observed latency filters it out.
         let resp = router.handle(&get("/debug/slow?threshold_ms=60000"));
         let value = JsonValue::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         let entries = value.get("entries").and_then(|e| e.as_array()).unwrap();
         assert!(entries.is_empty(), "{entries:?}");
+    }
+
+    /// A success body as the sorted-key value model renders it: the
+    /// reference the directly written bodies must equal byte for byte.
+    fn reference_value(resp: &lantern_core::NarrationResponse) -> JsonValue {
+        let mut obj = BTreeMap::new();
+        obj.insert(
+            "backend".to_string(),
+            JsonValue::String(resp.backend.clone()),
+        );
+        obj.insert("narration".to_string(), resp.narration.to_json_value());
+        obj.insert("text".to_string(), JsonValue::String(resp.text.clone()));
+        JsonValue::Object(obj)
+    }
+
+    fn reference_body(doc: &str) -> String {
+        let req = NarrationRequest::auto(doc).unwrap();
+        let resp = RuleTranslator::new(default_mssql_store())
+            .narrate(&req)
+            .unwrap();
+        reference_value(&resp).to_string_compact()
+    }
+
+    #[test]
+    fn cached_paths_write_the_reference_bytes() {
+        let router = cached_router();
+        for doc in [PG_DOC, XML_DOC] {
+            let reference = reference_body(doc);
+            let miss = router.handle(&post("/narrate", doc));
+            assert_eq!(miss.status, 200);
+            assert_eq!(std::str::from_utf8(&miss.body).unwrap(), reference, "miss");
+            let hit = router.handle(&post("/narrate", doc));
+            assert_eq!(std::str::from_utf8(&hit.body).unwrap(), reference, "hit");
+            let bypass = router.handle(&post("/narrate?nocache=1", doc));
+            assert_eq!(
+                std::str::from_utf8(&bypass.body).unwrap(),
+                reference,
+                "nocache"
+            );
+        }
+        let stats = router.translator.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 2));
+
+        // Batch items: a hit, an uncached plan, and a per-item error,
+        // spliced in order.
+        let fresh = PG_DOC.replace("orders", "lineitem");
+        let body = JsonValue::Array(vec![
+            JsonValue::String(PG_DOC.to_string()),
+            JsonValue::String(fresh.clone()),
+            JsonValue::String("not a plan".to_string()),
+        ])
+        .to_string_compact();
+        let err = NarrationRequest::auto("not a plan").unwrap_err();
+        let expected = JsonValue::Array(vec![
+            JsonValue::parse(&reference_body(PG_DOC)).unwrap(),
+            JsonValue::parse(&reference_body(&fresh)).unwrap(),
+            error_body(&err),
+        ])
+        .to_string_compact();
+        for path in ["/narrate/batch", "/narrate/batch?nocache=1"] {
+            let resp = router.handle(&post(path, &body));
+            assert_eq!(resp.status, 200);
+            assert_eq!(std::str::from_utf8(&resp.body).unwrap(), expected, "{path}");
+        }
+    }
+
+    #[test]
+    fn render_records_one_span_per_narration_on_hits_and_misses() {
+        let router = cached_router();
+        let render_count = || router.obs.stage_snapshot(lantern_obs::Stage::Render).count;
+        assert_eq!(router.handle(&post("/narrate", PG_DOC)).status, 200);
+        assert_eq!(render_count(), 1, "miss");
+        assert_eq!(router.handle(&post("/narrate", PG_DOC)).status, 200);
+        assert_eq!(render_count(), 2, "hit");
+        assert_eq!(
+            router.handle(&post("/narrate?nocache=1", PG_DOC)).status,
+            200
+        );
+        assert_eq!(render_count(), 3, "nocache");
+        // A failed narration writes no success body.
+        assert_eq!(router.handle(&post("/narrate", "not a plan")).status, 400);
+        assert_eq!(render_count(), 3, "error");
+        let narrate = router.obs.stage_snapshot(lantern_obs::Stage::Narrate);
+        assert_eq!(narrate.count, 3);
     }
 }

@@ -7,7 +7,13 @@
 //! (which is in fact all of JSON) with precise error positions.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Deepest nesting of arrays and objects [`JsonValue::parse`] accepts.
+/// The reader recurses once per level, so an unbounded depth would let
+/// a small document overflow the stack; a real `EXPLAIN` plan nests a
+/// few dozen levels at most.
+pub const MAX_DEPTH: usize = 256;
 
 /// A parsed JSON value. Objects use `BTreeMap` so output is
 /// deterministic.
@@ -44,6 +50,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -113,11 +120,11 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    out.push_str(&format!("{}", *n as i64));
+                let _ = if n.fract() == 0.0 && n.abs() < 9.0e15 {
+                    write!(out, "{}", *n as i64)
                 } else {
-                    out.push_str(&format!("{n}"));
-                }
+                    write!(out, "{n}")
+                };
             }
             JsonValue::String(s) => write_json_string(out, s),
             JsonValue::Array(items) => {
@@ -166,25 +173,49 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string literal.
+///
+/// Quotes, backslashes, newlines, carriage returns and tabs get their
+/// short escapes, the other control characters below U+0020 a
+/// lowercase `\u00xx`; every other character, non-ASCII included, is
+/// copied verbatim. Runs of bytes that need no escape are copied with
+/// one `push_str` each. Every byte that needs an escape is ASCII, so
+/// each run boundary is a `char` boundary.
+pub fn write_json_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run_start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run_start..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
         }
+        run_start = i + 1;
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -222,8 +253,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -232,6 +263,20 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object, one level deeper than the caller.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -468,5 +513,77 @@ mod tests {
             JsonValue::parse("{}").unwrap(),
             JsonValue::Object(Default::default())
         );
+    }
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let doc = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&doc).is_ok());
+        let doc = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_crash() {
+        let doc = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = JsonValue::parse(&doc).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // A hostile plan document far past the limit (a few hundred KB).
+        let err = JsonValue::parse(&"{\"Plan\":".repeat(20_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+    }
+
+    /// The escaper `write_json_string` replaced: one `char` at a time.
+    fn escape_charwise(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn write_json_string_matches_the_charwise_escaper() {
+        // Strings drawn from an alphabet weighted towards the bytes that
+        // need escaping, plus multi-byte characters on both sides of
+        // them.
+        const ALPHABET: [char; 16] = [
+            'a', 'Z', ' ', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{1f}', '\u{7f}', 'é',
+            '→', '😀', '/',
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..2_000 {
+            let len = (next() % 40) as usize;
+            let s: String = (0..len)
+                .map(|_| ALPHABET[(next() % ALPHABET.len() as u64) as usize])
+                .collect();
+            let mut out = String::from("prefix");
+            write_json_string(&mut out, &s);
+            assert_eq!(out["prefix".len()..], escape_charwise(&s), "{s:?}");
+            assert_eq!(
+                JsonValue::parse(&out["prefix".len()..]).unwrap(),
+                JsonValue::String(s)
+            );
+        }
+        for s in ["", "plain", "\u{1}\u{2}", "tail\"", "\"head"] {
+            let mut out = String::new();
+            write_json_string(&mut out, s);
+            assert_eq!(out, escape_charwise(s), "{s:?}");
+        }
     }
 }

@@ -9,8 +9,10 @@
 //! exchanged in PostgreSQL-style JSON `EXPLAIN` output and SQL
 //! Server-style XML showplans; the sanctioned offline dependency set has
 //! no `serde_json`/XML crate, so this crate ships minimal, fully tested
-//! implementations. The same [`JsonValue`] model renders every
-//! narration-service response body (see `lantern-serve`).
+//! implementations. Both readers bound their nesting depth
+//! ([`json::MAX_DEPTH`], [`xml::MAX_DEPTH`]) so no document can overflow
+//! the stack. [`json::write_json_string`] escapes every string the
+//! narration service writes (see `lantern-serve`).
 //!
 //! # Example
 //!

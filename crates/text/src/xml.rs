@@ -8,6 +8,12 @@
 
 use std::fmt;
 
+/// Deepest element nesting [`XmlNode::parse`] accepts (the root counts
+/// as one level). The reader recurses once per element, so an unbounded
+/// depth would let a small document overflow the stack; a real showplan
+/// nests a few dozen elements at most.
+pub const MAX_DEPTH: usize = 256;
+
 /// An XML element with attributes, child elements, and concatenated text
 /// content.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,6 +102,7 @@ impl XmlNode {
         let mut p = XmlParser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_misc();
         let root = p.element()?;
@@ -165,6 +172,8 @@ fn escape_into(out: &mut String, s: &str) {
 struct XmlParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Elements currently open.
+    depth: usize,
 }
 
 impl<'a> XmlParser<'a> {
@@ -231,7 +240,18 @@ impl<'a> XmlParser<'a> {
             .to_string())
     }
 
+    /// Parse one element, one level deeper than the caller.
     fn element(&mut self) -> Result<XmlNode, XmlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} elements")));
+        }
+        self.depth += 1;
+        let node = self.element_body();
+        self.depth -= 1;
+        node
+    }
+
+    fn element_body(&mut self) -> Result<XmlNode, XmlError> {
         if self.peek() != Some(b'<') {
             return Err(self.err("expected '<'"));
         }
@@ -469,5 +489,21 @@ mod tests {
         let n = XmlNode::parse(doc).unwrap();
         assert_eq!(n.children_named("Item").count(), 2);
         assert_eq!(n.child("Item").unwrap().attr("k"), Some("1"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let doc = format!("{}{}", "<a>".repeat(MAX_DEPTH), "</a>".repeat(MAX_DEPTH));
+        assert!(XmlNode::parse(&doc).is_ok());
+        let doc = format!(
+            "{}{}",
+            "<a>".repeat(MAX_DEPTH + 1),
+            "</a>".repeat(MAX_DEPTH + 1)
+        );
+        let err = XmlNode::parse(&doc).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // A hostile showplan far past the limit (a few hundred KB).
+        let err = XmlNode::parse(&"<a>".repeat(60_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 }

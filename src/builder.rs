@@ -349,9 +349,14 @@ impl LanternService {
     /// requests are never cloned on the way in, and style-aware
     /// backends already rendered the configured style natively.
     fn restyle(&self, req: &NarrationRequest, resp: &mut NarrationResponse) {
-        if self.needs_restyle && req.style.is_none() && self.style != RenderStyle::default() {
+        if self.restyles(req) {
             resp.text = resp.narration.render(self.style);
         }
+    }
+
+    /// Whether [`LanternService::restyle`] re-renders `req`'s response.
+    fn restyles(&self, req: &NarrationRequest) -> bool {
+        self.needs_restyle && req.style.is_none() && self.style != RenderStyle::default()
     }
 }
 
@@ -364,6 +369,18 @@ impl Translator for LanternService {
         let mut resp = self.translator.translator().narrate(req)?;
         self.restyle(req, &mut resp);
         Ok(resp)
+    }
+
+    /// Delegates to the core (so a cache hit is written from its entry)
+    /// unless the service re-renders the response's text.
+    fn narrate_json(&self, req: &NarrationRequest, out: &mut String) -> Result<(), LanternError> {
+        if !self.restyles(req) {
+            return self.translator.translator().narrate_json(req, out);
+        }
+        let resp = self.narrate(req)?;
+        let _render = lantern_obs::span(lantern_obs::Stage::Render);
+        resp.write_json(out);
+        Ok(())
     }
 
     fn narrate_batch(
@@ -624,6 +641,59 @@ mod tests {
             .unwrap();
         let resp = service.narrate_document(PG_DOC).unwrap();
         assert!(resp.text.starts_with("- "), "{}", resp.text);
+    }
+
+    /// A router over a service whose style-less backend is restyled,
+    /// with and without the cache: every narration route answers the
+    /// bytes the sorted-key value model renders for the service's own
+    /// (restyled) response.
+    #[test]
+    fn restyled_service_routes_write_the_reference_bytes() {
+        use lantern_text::json::JsonValue;
+        use std::collections::BTreeMap;
+        for cache in [false, true] {
+            let mut builder = LanternBuilder::new()
+                .backend(Backend::Neuron)
+                .style(RenderStyle::Bulleted);
+            if cache {
+                builder = builder.cache(CacheConfig::default());
+            }
+            let service = builder.build().unwrap();
+            let resp = service.narrate_document(PG_DOC).unwrap();
+            assert!(resp.text.starts_with("- "), "{}", resp.text);
+            let mut obj = BTreeMap::new();
+            obj.insert("backend".to_string(), JsonValue::String(resp.backend));
+            obj.insert("narration".to_string(), resp.narration.to_json_value());
+            obj.insert("text".to_string(), JsonValue::String(resp.text));
+            let reference = JsonValue::Object(obj);
+
+            let service = Arc::new(service);
+            let parts = RouterParts {
+                cache: Some(Arc::clone(&service) as _),
+                ..RouterParts::default()
+            };
+            let router = Router::with_parts(service, parts, &ServeConfig::default());
+            let post = |path: &str, body: &str| {
+                let raw = format!(
+                    "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                let req = lantern_serve::http::read_request(&mut raw.as_bytes(), 1 << 20).unwrap();
+                let resp = router.handle(&req);
+                assert_eq!(resp.status, 200, "{path}");
+                String::from_utf8(resp.body).unwrap()
+            };
+            let expected = reference.to_string_compact();
+            for path in ["/narrate", "/narrate", "/narrate?nocache=1"] {
+                assert_eq!(post(path, PG_DOC), expected, "{path}, cache {cache}");
+            }
+            let batch = JsonValue::Array(vec![JsonValue::String(PG_DOC.to_string()); 2]);
+            assert_eq!(
+                post("/narrate/batch", &batch.to_string_compact()),
+                JsonValue::Array(vec![reference.clone(), reference]).to_string_compact(),
+                "cache {cache}"
+            );
+        }
     }
 
     #[test]

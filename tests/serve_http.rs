@@ -798,3 +798,61 @@ fn cached_service_over_sockets() {
     drop(client);
     server.shutdown().unwrap();
 }
+
+/// Plan documents nested far past the readers' depth limit: a few
+/// hundred KB each, well under the body limit. Unbounded recursion on
+/// either one used to overflow a worker's stack and abort the process.
+fn deep_documents() -> [String; 2] {
+    ["{\"Plan\":".repeat(20_000), "<a>".repeat(60_000)]
+}
+
+/// Acceptance: a deeply nested document is a structured 400 (kind
+/// `parse`) on every route that reads one, and the server keeps
+/// serving afterwards.
+#[test]
+fn deeply_nested_documents_are_400s_and_the_server_keeps_serving() {
+    let server = LanternBuilder::new()
+        .cache(CacheConfig::default())
+        .serve("127.0.0.1:0")
+        .unwrap();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+
+    for doc in deep_documents() {
+        for path in ["/narrate", "/narrate?nocache=1"] {
+            let resp = client.post(path, &doc).unwrap();
+            assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+            assert_eq!(error_kind_of(&json_of(&resp.body)), "parse");
+        }
+        // As a batch item the document fails on its own.
+        let batch = JsonValue::Array(vec![
+            JsonValue::String(doc.clone()),
+            JsonValue::String(PG_DOC.to_string()),
+        ])
+        .to_string_compact();
+        let resp = client.post("/narrate/batch", &batch).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let items = json_of(&resp.body);
+        let items = items.as_array().unwrap();
+        assert_eq!(error_kind_of(&items[0]), "parse");
+        assert!(items[1].get("text").is_some());
+    }
+    // Deep envelopes: the batch array and the diff object themselves.
+    let deep_json = &deep_documents()[0];
+    for (path, body) in [
+        ("/narrate/batch", "[".repeat(20_000)),
+        ("/narrate/diff", deep_json.clone()),
+        ("/narrate/diff/batch", deep_json.clone()),
+    ] {
+        let resp = client.post(path, &body).unwrap();
+        assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+        assert_eq!(error_kind_of(&json_of(&resp.body)), "parse", "{path}");
+    }
+
+    let health = client.get("/healthz").unwrap();
+    assert_eq!(health.status, 200);
+    let resp = client.post("/narrate", PG_DOC).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+
+    drop(client);
+    server.shutdown().unwrap();
+}
