@@ -157,11 +157,11 @@ fn main() {
 
     // --- 3. load shedding under a deliberately undersized pool -----
     //
-    // One 2 ms-per-request worker behind a 2-slot dispatch queue,
-    // hammered by 4 clients pipelining 8 requests each: the event
-    // loop must shed the overflow with immediate 503s instead of
-    // queueing it, and the requests it does accept must keep a sane
-    // tail (shedding exists so accepted work doesn't collapse).
+    // One 2 ms-per-request reactor with a 2-slot wait list, hammered
+    // by 4 clients pipelining 8 requests each: the reactor must shed
+    // the overflow with immediate 503s instead of queueing it, and the
+    // requests it does accept must keep a sane tail (shedding exists
+    // so accepted work doesn't collapse).
     shed_scenario();
 }
 

@@ -9,7 +9,8 @@
 //!
 //! Request lifecycle:
 //!
-//! 1. the event core frames the request and hands it to a worker;
+//! 1. the reactor owning the client connection frames the request and
+//!    runs the coordinator's handler inline;
 //! 2. the body is reduced to a **shard key** (canonical plan
 //!    fingerprint, memoized by exact text — see [`crate::shard`]);
 //! 3. the key picks an owner on the consistent-hash ring, and the
@@ -57,7 +58,7 @@ use std::time::Duration;
 type SubBatchResult = (Vec<usize>, Result<ClientResponse, Option<ClientError>>);
 
 /// Routing tunables for [`serve_cluster`]. How the coordinator serves
-/// its own clients (workers, dispatch queue, body limit, idle timeout,
+/// its own clients (reactor threads, wait list, body limit, idle timeout,
 /// metrics) comes from the same [`ServeConfig`] a replica uses.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {

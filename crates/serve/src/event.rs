@@ -1,54 +1,59 @@
-//! The event-driven serving core: one event thread owns accept, read,
-//! and write buffering over non-blocking sockets, driven by a raw
-//! `epoll` readiness loop on Linux (thin FFI — the workspace is
-//! std-only) with a portable `poll(2)` fallback on other Unixes.
+//! The serving core: [`ServeConfig::effective_workers`] reactor
+//! threads over non-blocking sockets, each driving its own raw `epoll`
+//! readiness loop on Linux (thin FFI — the workspace is std-only) or a
+//! portable `poll(2)` fallback on other Unixes.
 //!
-//! The division of labour:
+//! Each **reactor** owns one poller and the connections handed to it,
+//! and runs a request to completion on its own thread: it reads,
+//! frames pipelined requests incrementally
+//! ([`crate::http::frame_request`] + [`crate::http::read_request`]),
+//! calls [`Handler::handle`] — a replica's router or the cluster
+//! coordinator — inline, and encodes the response into the
+//! connection's output buffer, so responses leave **in request order**
+//! with no hand-off between threads. A handler panic is contained: it
+//! costs its connection, never the reactor.
 //!
-//! * the **event thread** accepts connections, accumulates inbound
-//!   bytes, frames pipelined requests incrementally
-//!   ([`crate::http::frame_request`] + [`crate::http::read_request`]),
-//!   dispatches complete requests to the worker pool over a bounded
-//!   channel, and writes responses back through per-connection output
-//!   queues **in request order**;
-//! * the **worker pool** runs [`Handler::handle`] — a replica's router
-//!   or the cluster coordinator — and posts completions back, waking
-//!   the event thread through a self-pipe (a `UnixStream` pair). A
-//!   handler panic is contained: it costs its connection, never a
-//!   worker.
+//! The listener sits in every reactor's poller (`EPOLLEXCLUSIVE` on
+//! Linux), so a reactor that is idle accepts. It hands each new socket,
+//! once, to the reactor with the fewest live connections among those
+//! not inside a handler, through that reactor's mailbox and wake pipe.
+//! A connection then stays on its reactor, so a keep-alive connection
+//! waits behind its own reactor's current request.
 //!
-//! Thousands of idle keep-alive connections therefore cost one `fd` +
-//! a few hundred bytes each, not a parked thread. When the dispatch
-//! queue is full the event loop **sheds** instead of blocking: the
-//! request is answered immediately with `503` + `Retry-After` and a
-//! structured error body, and the connection stays usable. Shutdown
-//! drains: the listener closes first, in-flight requests finish, and
-//! buffered responses are flushed before connections are dropped.
+//! Thousands of idle keep-alive connections cost one `fd` + a few
+//! hundred bytes each, not a parked thread. A reactor frames every
+//! complete request of a poll batch before it handles any; a request
+//! that finds `queue_depth` requests already waiting in its reactor is
+//! **shed** — answered in its place in the response order with `503` +
+//! `Retry-After` and a structured error body — and the connection stays
+//! usable. Shutdown drains: the listener closes first, the running
+//! requests finish, and buffered responses are flushed before
+//! connections are dropped.
 
 use crate::http::{
     encode_response, frame_request, read_request, FrameStatus, Request, Response, REQUEST_ID_HEADER,
 };
 use crate::router::error_body_raw;
-use crate::server::{Handler, ServeConfig, ServeStats};
-use lantern_obs::{Recorder, Stage};
-use std::collections::BTreeMap;
+use crate::server::{Handler, ServeConfig};
+use lantern_obs::Stage;
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// `Retry-After` seconds advertised on load-shed `503`s.
 const SHED_RETRY_AFTER_SECS: u32 = 1;
-/// How long shutdown waits for in-flight requests and buffered
+/// How long shutdown waits for running requests and buffered
 /// responses before dropping what remains.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
-/// Idle-sweep granularity: the longest the loop sleeps when nothing
-/// happens, so idle timeouts are enforced within this bound.
+/// Idle-sweep granularity: the longest a reactor sleeps when nothing
+/// happens, and the shortest time between two sweeps, so idle timeouts
+/// are enforced within this bound.
 const SWEEP_INTERVAL: Duration = Duration::from_millis(250);
 
 // ---------------------------------------------------------------------
@@ -67,7 +72,7 @@ struct PollEvent {
 #[cfg(target_os = "linux")]
 mod sys {
     //! Raw `epoll` via FFI on the already-linked libc — level
-    //! triggered, one epoll instance per server.
+    //! triggered, one epoll instance per reactor.
 
     use super::PollEvent;
     use std::io;
@@ -84,6 +89,7 @@ mod sys {
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
+    const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
     /// `struct epoll_event`; packed on x86 per the kernel ABI.
     #[derive(Clone, Copy)]
@@ -123,18 +129,14 @@ mod sys {
             })
         }
 
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            let mut flags = EPOLLRDHUP;
-            if read {
-                flags |= EPOLLIN;
-            }
-            if write {
-                flags |= EPOLLOUT;
-            }
+        fn ctl(&self, op: c_int, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
             let mut ev = EpollEvent {
-                events: flags,
+                events,
                 data: token,
             };
+            // SAFETY: `ev` is an initialized `epoll_event` that outlives
+            // the call, and the kernel copies it rather than keeping the
+            // pointer.
             let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
             if rc < 0 {
                 return Err(io::Error::last_os_error());
@@ -142,12 +144,23 @@ mod sys {
             Ok(())
         }
 
+        fn interest(read: bool, write: bool) -> u32 {
+            EPOLLRDHUP | if read { EPOLLIN } else { 0 } | if write { EPOLLOUT } else { 0 }
+        }
+
         pub fn add(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, read, write)
+            self.ctl(EPOLL_CTL_ADD, fd, token, Self::interest(read, write))
+        }
+
+        /// Register the shared listener. `EPOLLEXCLUSIVE` wakes one
+        /// waiting reactor per connection, not every reactor; one busy
+        /// inside a handler is not waiting, so an idle one accepts.
+        pub fn add_listener(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, token, EPOLLIN | EPOLLEXCLUSIVE)
         }
 
         pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, read, write)
+            self.ctl(EPOLL_CTL_MOD, fd, token, Self::interest(read, write))
         }
 
         pub fn remove(&mut self, fd: RawFd) {
@@ -235,6 +248,13 @@ mod sys {
             Ok(())
         }
 
+        /// Register the shared listener. `poll(2)` has no exclusive
+        /// wake-up: every idle reactor wakes and the losers of the
+        /// `accept` race see `WouldBlock`.
+        pub fn add_listener(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
+            self.add(fd, token, true, false)
+        }
+
         pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
             for slot in &mut self.slots {
                 if slot.0 == fd {
@@ -287,39 +307,27 @@ mod sys {
 use sys::Poller;
 
 // ---------------------------------------------------------------------
-// Event-thread <-> worker-pool plumbing.
+// What reactors share.
 // ---------------------------------------------------------------------
 
-/// A framed request travelling to the worker pool.
-struct Job {
-    token: u64,
-    seq: u64,
-    request: Request,
-    keep_alive: bool,
-}
-
-/// A finished request travelling back. `response: None` means the
-/// handler panicked — the connection is torn down (one connection per
-/// contained panic, never a worker).
-struct Completion {
-    token: u64,
-    seq: u64,
-    response: Option<Response>,
-    keep_alive: bool,
-}
-
-/// Everything the event thread shares with workers and the handle.
-struct Shared {
-    completions: Mutex<Vec<Completion>>,
+/// One reactor as the others see it. Aligned to its own cache lines so
+/// one reactor's `busy` flips don't bounce another's. `live` and `busy`
+/// only steer which reactor gets a new connection and publish no other
+/// data (the mailbox has its own lock), so they use `Relaxed`.
+#[repr(align(128))]
+struct Peer {
+    /// Sockets accepted by another reactor and handed to this one.
+    mailbox: Mutex<Vec<TcpStream>>,
+    /// Write end of this reactor's wake pipe.
     waker: UnixStream,
-    stats: Arc<ServeStats>,
-    /// The handler's recorder: the event thread records the socket
-    /// `read`/`write` stages (requests execute on workers, so those
-    /// stages can't ride the worker-thread trace).
-    obs: Arc<Recorder>,
+    /// Connections this reactor owns, hand-offs still in its mailbox
+    /// included.
+    live: AtomicUsize,
+    /// Running handlers: the reactor won't poll until its batch is done.
+    busy: AtomicBool,
 }
 
-impl Shared {
+impl Peer {
     fn wake(&self) {
         // A full pipe already guarantees a pending wakeup.
         let _ = (&self.waker).write(&[1u8]);
@@ -331,29 +339,22 @@ impl Shared {
 // ---------------------------------------------------------------------
 
 struct Conn {
-    stream: std::net::TcpStream,
+    stream: TcpStream,
     /// Generation stamp; the full poller token is `gen << 32 | slot`,
-    /// so late completions or stale readiness events for a recycled
-    /// slot are discarded instead of hitting the wrong peer.
+    /// so stale readiness events or queued requests for a recycled slot
+    /// are discarded instead of hitting the wrong peer.
     gen: u64,
     /// Unparsed inbound bytes.
     inbuf: Vec<u8>,
     /// Serialized, not-yet-written outbound bytes.
     outbuf: Vec<u8>,
     outpos: usize,
-    /// Next request sequence number to assign on this connection.
-    next_seq: u64,
-    /// Next sequence number eligible for serialization — responses are
-    /// written strictly in request order (HTTP/1.1 pipelining).
-    next_write: u64,
-    /// Completed responses waiting for an earlier sequence number.
-    ready: BTreeMap<u64, (Response, bool)>,
-    /// Requests dispatched to the pool and not yet completed.
-    in_flight: usize,
+    /// The `(read, write)` interest registered with the poller.
+    interest: (bool, bool),
     /// No further requests are parsed (close requested, protocol
     /// error, peer EOF, or shutdown drain).
     no_more_reads: bool,
-    /// Close once the output buffer drains and nothing is pending.
+    /// Close once the output buffer drains.
     close_after_write: bool,
     last_activity: Instant,
 }
@@ -362,10 +363,20 @@ impl Conn {
     fn has_pending_output(&self) -> bool {
         self.outpos < self.outbuf.len()
     }
+}
 
-    fn is_drained(&self) -> bool {
-        self.in_flight == 0 && self.ready.is_empty() && !self.has_pending_output()
-    }
+/// A framed request waiting for its reactor's handler, or a response
+/// made at framing (shed, protocol error) waiting for its turn in the
+/// connection's response order.
+enum Work {
+    Handle(Request),
+    Reply(Response),
+}
+
+struct Pending {
+    token: u64,
+    work: Work,
+    keep_alive: bool,
 }
 
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -383,13 +394,12 @@ fn slot_of(token: u64) -> usize {
 // Entry point.
 // ---------------------------------------------------------------------
 
-/// What [`serve_event`] hands back: the joinable threads (event thread
-/// first) and the waker the shutdown path invokes.
+/// What [`serve_event`] hands back: the joinable reactor threads and
+/// the waker the shutdown path invokes.
 pub(crate) type EventParts = (Vec<JoinHandle<()>>, Arc<dyn Fn() + Send + Sync>);
 
-/// Spawn the event thread + worker pool over an already-bound
-/// listener. Returns the joinable threads (event thread first) and a
-/// waker the shutdown path writes to.
+/// Spawn the reactors over an already-bound listener. Returns the
+/// joinable threads and a waker that rouses every reactor.
 pub(crate) fn serve_event<H: Handler>(
     listener: TcpListener,
     handler: Arc<H>,
@@ -397,133 +407,95 @@ pub(crate) fn serve_event<H: Handler>(
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<EventParts> {
     listener.set_nonblocking(true)?;
-    let (wake_rx, wake_tx) = UnixStream::pair()?;
-    wake_rx.set_nonblocking(true)?;
-    wake_tx.set_nonblocking(true)?;
-    let shared = Arc::new(Shared {
-        completions: Mutex::new(Vec::new()),
-        waker: wake_tx,
-        stats: Arc::clone(handler.stats()),
-        obs: Arc::clone(handler.obs()),
-    });
-
-    let (job_tx, job_rx) = sync_channel::<Job>(config.queue_depth.max(1));
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let mut threads = Vec::with_capacity(config.effective_workers() + 1);
-
-    let external_waker: Arc<dyn Fn() + Send + Sync> = {
-        let shared = Arc::clone(&shared);
-        Arc::new(move || shared.wake())
-    };
-
-    for _ in 0..config.effective_workers() {
-        let job_rx = Arc::clone(&job_rx);
-        let handler = Arc::clone(&handler);
-        let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
-            worker_loop(&job_rx, &*handler, &shared)
-        }));
+    let listener = Arc::new(listener);
+    let count = config.effective_workers();
+    let mut peers = Vec::with_capacity(count);
+    let mut wake_rxs = Vec::with_capacity(count);
+    for _ in 0..count {
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rxs.push(wake_rx);
+        peers.push(Peer {
+            mailbox: Mutex::new(Vec::new()),
+            waker: wake_tx,
+            live: AtomicUsize::new(0),
+            busy: AtomicBool::new(false),
+        });
     }
+    let peers: Arc<[Peer]> = peers.into();
 
-    let event_thread = std::thread::spawn(move || {
-        let mut state = EventLoop {
-            listener,
-            poller: match Poller::new() {
-                Ok(p) => p,
-                Err(_) => return,
-            },
+    let mut reactors = Vec::with_capacity(count);
+    for (index, wake_rx) in wake_rxs.into_iter().enumerate() {
+        let mut poller = Poller::new()?;
+        poller.add_listener(listener.as_raw_fd(), LISTENER_TOKEN)?;
+        poller.add(wake_rx.as_raw_fd(), WAKER_TOKEN, true, false)?;
+        reactors.push(Reactor {
+            index,
+            peers: Arc::clone(&peers),
+            handler: Arc::clone(&handler),
+            listener: Arc::clone(&listener),
+            poller,
             wake_rx,
-            shared,
-            job_tx,
-            config,
-            shutdown,
+            config: config.clone(),
+            shutdown: Arc::clone(&shutdown),
             conns: Vec::new(),
             free: Vec::new(),
             gen: 0,
-            live: 0,
-        };
-        state.run();
-    });
-    threads.insert(0, event_thread);
-    Ok((threads, external_waker))
-}
-
-fn worker_loop<H: Handler>(job_rx: &Mutex<Receiver<Job>>, handler: &H, shared: &Shared) {
-    loop {
-        let job = match job_rx.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return,
-        };
-        let Ok(job) = job else { return };
-        shared.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handler.handle(&job.request)
-        }));
-        let response = match outcome {
-            Ok(response) => Some(response),
-            Err(_) => {
-                shared.stats.panics.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        };
-        if let Ok(mut completions) = shared.completions.lock() {
-            completions.push(Completion {
-                token: job.token,
-                seq: job.seq,
-                response,
-                keep_alive: job.keep_alive,
-            });
-        }
-        shared.wake();
+            waiting: VecDeque::new(),
+            queued: 0,
+            last_sweep: Instant::now(),
+        });
     }
+    let threads = reactors
+        .into_iter()
+        .map(|mut reactor| std::thread::spawn(move || reactor.run()))
+        .collect();
+    let waker: Arc<dyn Fn() + Send + Sync> = Arc::new(move || peers.iter().for_each(Peer::wake));
+    Ok((threads, waker))
 }
 
 // ---------------------------------------------------------------------
-// The loop itself.
+// The reactor loop.
 // ---------------------------------------------------------------------
 
-struct EventLoop {
-    listener: TcpListener,
+struct Reactor<H> {
+    index: usize,
+    peers: Arc<[Peer]>,
+    handler: Arc<H>,
+    listener: Arc<TcpListener>,
     poller: Poller,
     wake_rx: UnixStream,
-    shared: Arc<Shared>,
-    job_tx: SyncSender<Job>,
     config: ServeConfig,
     shutdown: Arc<AtomicBool>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     gen: u64,
-    live: usize,
+    /// This poll batch's framed requests and replies, in arrival order;
+    /// one connection's entries are contiguous.
+    waiting: VecDeque<Pending>,
+    /// `Work::Handle` entries in `waiting`.
+    queued: usize,
+    last_sweep: Instant,
 }
 
-impl EventLoop {
+impl<H: Handler> Reactor<H> {
+    fn me(&self) -> &Peer {
+        &self.peers[self.index]
+    }
+
     fn run(&mut self) {
-        if self
-            .poller
-            .add(self.listener.as_raw_fd(), LISTENER_TOKEN, true, false)
-            .is_err()
-        {
-            return;
-        }
-        if self
-            .poller
-            .add(self.wake_rx.as_raw_fd(), WAKER_TOKEN, true, false)
-            .is_err()
-        {
-            return;
-        }
         let mut events: Vec<PollEvent> = Vec::new();
         let mut draining_since: Option<Instant> = None;
         loop {
-            let shutting_down = self.shutdown.load(Ordering::SeqCst);
-            if shutting_down && draining_since.is_none() {
+            if draining_since.is_none() && self.shutdown.load(Ordering::SeqCst) {
                 draining_since = Some(Instant::now());
                 self.begin_drain();
             }
             if let Some(since) = draining_since {
-                let deadline_passed = since.elapsed() >= DRAIN_DEADLINE;
-                if self.live == 0 || deadline_passed {
-                    return; // dropping job_tx stops the workers
+                if self.me().live.load(Ordering::Relaxed) == 0 || since.elapsed() >= DRAIN_DEADLINE
+                {
+                    return;
                 }
             }
 
@@ -531,9 +503,6 @@ impl EventLoop {
             if self.poller.wait(&mut events, SWEEP_INTERVAL).is_err() {
                 return;
             }
-            // Completions first: they may unblock ordered writes that
-            // this batch's writable events then flush.
-            self.drain_completions();
             for &PollEvent {
                 token,
                 readable,
@@ -543,86 +512,69 @@ impl EventLoop {
             {
                 match token {
                     LISTENER_TOKEN => self.accept_ready(),
-                    WAKER_TOKEN => {
-                        let mut sink = [0u8; 64];
-                        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
-                    }
+                    WAKER_TOKEN => self.take_mail(draining_since.is_some()),
                     token => self.conn_ready(token, readable, writable, failed),
                 }
             }
-            self.drain_completions();
+            self.run_waiting();
             self.sweep_idle();
         }
     }
 
-    /// Shutdown begins: stop accepting, finish what's in flight.
+    /// Shutdown begins: stop accepting, flush what's buffered.
     fn begin_drain(&mut self) {
         self.poller.remove(self.listener.as_raw_fd());
+        self.take_mail(true);
         for slot in 0..self.conns.len() {
             let Some(conn) = &mut self.conns[slot] else {
                 continue;
             };
             conn.no_more_reads = true;
             conn.close_after_write = true;
-            if conn.is_drained() {
-                self.close_conn(slot);
-            } else {
+            if conn.has_pending_output() {
                 self.update_interest(slot);
+            } else {
+                self.close_conn(slot);
             }
         }
     }
 
     fn accept_ready(&mut self) {
+        let handler = Arc::clone(&self.handler);
+        let stats = handler.stats();
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    self.shared
-                        .stats
-                        .connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    if self.live >= self.config.max_conns.max(1) {
+                    stats.connections.fetch_add(1, Ordering::Relaxed);
+                    let live: usize = self
+                        .peers
+                        .iter()
+                        .map(|peer| peer.live.load(Ordering::Relaxed))
+                        .sum();
+                    if live >= self.config.max_conns.max(1) {
                         // Admission control at the front door: past the
                         // connection cap the socket is closed outright
                         // (clients see a reset, not a silent queue).
-                        self.shared
-                            .stats
-                            .shed_requests
-                            .fetch_add(1, Ordering::Relaxed);
-                        drop(stream);
+                        stats.shed_requests.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
-                    let slot = self.free.pop().unwrap_or_else(|| {
-                        self.conns.push(None);
-                        self.conns.len() - 1
-                    });
-                    self.gen = (self.gen + 1) & 0xFFFF_FFFF;
-                    let token = token_of(slot, self.gen);
-                    if self
-                        .poller
-                        .add(stream.as_raw_fd(), token, true, false)
-                        .is_err()
-                    {
-                        self.free.push(slot);
-                        continue;
+                    let target = self.pick_reactor();
+                    let peer = &self.peers[target];
+                    peer.live.fetch_add(1, Ordering::Relaxed);
+                    if target == self.index {
+                        self.register(stream);
+                    } else {
+                        // A push or take leaves the list valid at every
+                        // step, so a poisoned lock still holds a usable one.
+                        let mut mailbox =
+                            peer.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
+                        mailbox.push(stream);
+                        drop(mailbox);
+                        peer.wake();
                     }
-                    self.conns[slot] = Some(Conn {
-                        stream,
-                        gen: self.gen,
-                        inbuf: Vec::new(),
-                        outbuf: Vec::new(),
-                        outpos: 0,
-                        next_seq: 0,
-                        next_write: 0,
-                        ready: BTreeMap::new(),
-                        in_flight: 0,
-                        no_more_reads: false,
-                        close_after_write: false,
-                        last_activity: Instant::now(),
-                    });
-                    self.live += 1;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -631,363 +583,378 @@ impl EventLoop {
         }
     }
 
-    fn conn_ready(&mut self, token: u64, readable: bool, writable: bool, failed: bool) {
-        let slot = slot_of(token);
-        let gen = token >> 32;
-        let Some(Some(conn)) = self.conns.get(slot) else {
+    /// The reactor with the fewest live connections among those not
+    /// inside a handler; this one (never busy while accepting) on ties.
+    fn pick_reactor(&self) -> usize {
+        let (mut best, mut fewest) = (self.index, self.me().live.load(Ordering::Relaxed));
+        for (index, peer) in self.peers.iter().enumerate() {
+            let live = peer.live.load(Ordering::Relaxed);
+            if live < fewest && !peer.busy.load(Ordering::Relaxed) {
+                (best, fewest) = (index, live);
+            }
+        }
+        best
+    }
+
+    /// Register sockets other reactors handed over; while draining,
+    /// drop them instead.
+    fn take_mail(&mut self, draining: bool) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+        let streams = std::mem::take(
+            &mut *self
+                .me()
+                .mailbox
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for stream in streams {
+            if draining {
+                self.me().live.fetch_sub(1, Ordering::Relaxed);
+            } else {
+                self.register(stream);
+            }
+        }
+    }
+
+    /// Take ownership of a socket already counted in `live`.
+    fn register(&mut self, stream: TcpStream) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        self.gen = (self.gen + 1) & 0xFFFF_FFFF;
+        let token = token_of(slot, self.gen);
+        if self
+            .poller
+            .add(stream.as_raw_fd(), token, true, false)
+            .is_err()
+        {
+            self.free.push(slot);
+            self.me().live.fetch_sub(1, Ordering::Relaxed);
             return;
-        };
-        if conn.gen != gen {
+        }
+        self.conns[slot] = Some(Conn {
+            stream,
+            gen: self.gen,
+            inbuf: Vec::new(),
+            outbuf: Vec::new(),
+            outpos: 0,
+            interest: (true, false),
+            no_more_reads: false,
+            close_after_write: false,
+            last_activity: Instant::now(),
+        });
+    }
+
+    /// The live connection `token` names, if it wasn't closed or its
+    /// slot recycled since.
+    fn conn_mut(&mut self, token: u64) -> Option<&mut Conn> {
+        self.conns
+            .get_mut(slot_of(token))?
+            .as_mut()
+            .filter(|conn| conn.gen == token >> 32)
+    }
+
+    fn conn_ready(&mut self, token: u64, readable: bool, writable: bool, failed: bool) {
+        if self.conn_mut(token).is_none() {
             return; // stale event for a recycled slot
         }
+        let slot = slot_of(token);
         if failed && !readable {
             self.close_conn(slot);
             return;
         }
-        if readable {
-            self.read_ready(slot);
-        }
+        // Flush first: a close it triggers must not take requests the
+        // read below frames onto the wait list.
         if writable {
-            self.write_ready(slot);
+            self.flush(token);
+        }
+        if readable {
+            self.read_ready(token);
         }
     }
 
-    /// Pull everything the socket has, then frame + dispatch requests.
-    fn read_ready(&mut self, slot: usize) {
+    /// Pull everything the socket has, then frame its requests onto the
+    /// wait list.
+    fn read_ready(&mut self, token: u64) {
+        let Some(conn) = self.conn_mut(token) else {
+            return;
+        };
         let mut closed = false;
-        {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return;
-            };
-            if conn.no_more_reads {
-                // Still readable but no longer parsing: swallow bytes so
-                // level-triggered polling doesn't spin. EOF closes.
-                let mut sink = [0u8; 4096];
-                loop {
-                    match conn.stream.read(&mut sink) {
-                        Ok(0) => {
-                            closed = true;
-                            break;
-                        }
-                        Ok(_) => continue,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            closed = true;
-                            break;
-                        }
+        let started = Instant::now();
+        let mut got_bytes = false;
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            match conn.stream.read(&mut chunk) {
+                Ok(0) => {
+                    closed = true;
+                    break;
+                }
+                Ok(n) => {
+                    // Still readable but no longer parsing: the bytes
+                    // are swallowed so level-triggered polling doesn't
+                    // spin.
+                    if !conn.no_more_reads {
+                        conn.inbuf.extend_from_slice(&chunk[..n]);
+                        got_bytes = true;
+                    }
+                    if n < chunk.len() {
+                        break; // drained; level triggering reports more
                     }
                 }
-            } else {
-                let started = Instant::now();
-                let mut got_bytes = false;
-                let mut chunk = [0u8; 16 * 1024];
-                loop {
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            closed = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.inbuf.extend_from_slice(&chunk[..n]);
-                            conn.last_activity = Instant::now();
-                            got_bytes = true;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            closed = true;
-                            break;
-                        }
-                    }
-                }
-                if got_bytes {
-                    self.shared
-                        .obs
-                        .record_stage(Stage::Read, started.elapsed().as_nanos() as u64);
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    closed = true;
+                    break;
                 }
             }
         }
-        self.parse_and_dispatch(slot);
+        if got_bytes {
+            let now = Instant::now();
+            conn.last_activity = now;
+            self.handler
+                .obs()
+                .record_stage(Stage::Read, now.duration_since(started).as_nanos() as u64);
+        }
+        let framed = self.frame(token);
         if closed {
-            let Some(conn) = self.conns[slot].as_mut() else {
+            let Some(conn) = self.conn_mut(token) else {
                 return;
             };
             conn.no_more_reads = true;
             conn.close_after_write = true;
-            if conn.is_drained() {
-                self.close_conn(slot);
-                return;
+            if framed == 0 && !conn.has_pending_output() {
+                self.close_conn(slot_of(token));
             }
         }
-        self.flush(slot);
     }
 
-    /// Frame as many pipelined requests as the buffer holds and hand
-    /// them to the pool (or shed).
-    fn parse_and_dispatch(&mut self, slot: usize) {
+    /// Frame every complete request in the connection's buffer onto the
+    /// wait list — shedding those that find `queue_depth` already
+    /// waiting — and return how many entries were added.
+    fn frame(&mut self, token: u64) -> usize {
+        let max_body = self.config.max_body_bytes;
+        let mut framed = 0;
         loop {
             let shutting_down = self.shutdown.load(Ordering::SeqCst);
-            let frame = {
-                let Some(conn) = self.conns[slot].as_mut() else {
-                    return;
+            let (parsed, keep_alive, pipelined) = {
+                let Some(conn) = self.conn_mut(token) else {
+                    return framed;
                 };
                 if conn.no_more_reads || conn.inbuf.is_empty() {
-                    return;
+                    return framed;
                 }
-                match frame_request(&conn.inbuf, self.config.max_body_bytes) {
-                    FrameStatus::Incomplete => return,
-                    FrameStatus::Complete { len } => {
-                        let frame: Vec<u8> = conn.inbuf.drain(..len).collect();
-                        frame
-                    }
-                }
+                let FrameStatus::Complete { len } = frame_request(&conn.inbuf, max_body) else {
+                    return framed;
+                };
+                let parsed = read_request(&mut &conn.inbuf[..len], max_body);
+                conn.inbuf.drain(..len);
+                let keep_alive =
+                    matches!(&parsed, Ok(request) if request.keep_alive) && !shutting_down;
+                conn.no_more_reads = !keep_alive;
+                // Pipelined: an earlier response on this connection is
+                // still unwritten.
+                (parsed, keep_alive, framed > 0 || conn.has_pending_output())
             };
-            match read_request(&mut &frame[..], self.config.max_body_bytes) {
+            framed += 1;
+            let stats = self.handler.stats();
+            match parsed {
                 Ok(request) => {
-                    let keep_alive = request.keep_alive && !shutting_down;
-                    let (token, seq, pipelined) = {
-                        let Some(conn) = self.conns[slot].as_mut() else {
-                            return;
-                        };
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        if !keep_alive {
-                            conn.no_more_reads = true;
-                        }
-                        (token_of(slot, conn.gen), seq, seq > conn.next_write)
-                    };
                     if pipelined {
-                        self.shared
-                            .stats
-                            .pipelined_requests
-                            .fetch_add(1, Ordering::Relaxed);
+                        stats.pipelined_requests.fetch_add(1, Ordering::Relaxed);
                     }
-                    match self.job_tx.try_send(Job {
+                    let work = if self.queued >= self.config.queue_depth.max(1) {
+                        Work::Reply(self.shed(&request))
+                    } else {
+                        self.queued += 1;
+                        stats.queue_depth.fetch_add(1, Ordering::Relaxed);
+                        Work::Handle(request)
+                    };
+                    self.waiting.push_back(Pending {
                         token,
-                        seq,
-                        request,
+                        work,
                         keep_alive,
-                    }) {
-                        Ok(()) => {
-                            self.shared
-                                .stats
-                                .queue_depth
-                                .fetch_add(1, Ordering::Relaxed);
-                            if let Some(conn) = self.conns[slot].as_mut() {
-                                conn.in_flight += 1;
-                            }
-                        }
-                        Err(TrySendError::Full(job)) => {
-                            // Admission control: answer 503 now instead
-                            // of blocking the event loop on a full
-                            // queue. The connection stays usable.
-                            self.shared
-                                .stats
-                                .shed_requests
-                                .fetch_add(1, Ordering::Relaxed);
-                            self.shared
-                                .stats
-                                .error_responses
-                                .fetch_add(1, Ordering::Relaxed);
-                            // Shed responses never reach the handler, so
-                            // the request id is resolved here — kept
-                            // from the request when present, minted
-                            // otherwise — and stays traceable.
-                            let id = match job.request.header(REQUEST_ID_HEADER) {
-                                Some(id) if !id.is_empty() => id.to_string(),
-                                _ => self.shared.obs.mint_id(),
-                            };
-                            let body = error_body_raw(
-                                "overloaded",
-                                "dispatch queue is full; retry shortly",
-                                503,
-                            );
-                            let response = Response::json(503, body.to_string_compact())
-                                .with_header("Retry-After", SHED_RETRY_AFTER_SECS.to_string())
-                                .with_request_id(&id);
-                            self.complete(slot, seq, Some(response), keep_alive);
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            self.close_conn(slot);
-                            return;
-                        }
-                    }
+                    });
                 }
                 Err(err) => {
                     // Protocol errors get a structured best-effort
                     // reply, then the connection closes.
-                    let seq = {
-                        let Some(conn) = self.conns[slot].as_mut() else {
-                            return;
-                        };
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        conn.no_more_reads = true;
-                        conn.inbuf.clear();
-                        seq
+                    let Some(status) = err.status() else {
+                        self.close_conn(slot_of(token));
+                        return framed;
                     };
-                    if let Some(status) = err.status() {
-                        self.shared
-                            .stats
-                            .error_responses
-                            .fetch_add(1, Ordering::Relaxed);
-                        let body = error_body_raw("http", &err.message(), status);
-                        let response = Response::json(status, body.to_string_compact());
-                        self.complete(slot, seq, Some(response), false);
-                    } else {
-                        self.close_conn(slot);
-                    }
-                    return;
+                    stats.error_responses.fetch_add(1, Ordering::Relaxed);
+                    let body = error_body_raw("http", &err.message(), status);
+                    self.waiting.push_back(Pending {
+                        token,
+                        work: Work::Reply(Response::json(status, body.to_string_compact())),
+                        keep_alive: false,
+                    });
                 }
-            }
-            let no_more = self.conns[slot]
-                .as_ref()
-                .map(|c| c.no_more_reads)
-                .unwrap_or(true);
-            if no_more {
-                return;
             }
         }
     }
 
-    /// Worker completions: route each back to its connection, preserve
-    /// request order, then flush.
-    fn drain_completions(&mut self) {
-        let completions = {
-            let Ok(mut guard) = self.shared.completions.lock() else {
-                return;
-            };
-            std::mem::take(&mut *guard)
+    /// Admission control: the immediate `503` for a request that found
+    /// the wait list full. Shed responses never reach the handler, so
+    /// the request id is resolved here — kept from the request when
+    /// present, minted otherwise — and stays traceable.
+    fn shed(&self, request: &Request) -> Response {
+        let stats = self.handler.stats();
+        stats.shed_requests.fetch_add(1, Ordering::Relaxed);
+        stats.error_responses.fetch_add(1, Ordering::Relaxed);
+        let id = match request.header(REQUEST_ID_HEADER) {
+            Some(id) if !id.is_empty() => id.to_string(),
+            _ => self.handler.obs().mint_id(),
         };
-        for completion in completions {
-            let slot = slot_of(completion.token);
-            let gen = completion.token >> 32;
-            let Some(Some(conn)) = self.conns.get_mut(slot) else {
-                continue; // connection died while the request ran
-            };
-            if conn.gen != gen {
-                continue;
-            }
-            conn.in_flight = conn.in_flight.saturating_sub(1);
-            match completion.response {
-                Some(response) => {
-                    self.complete(slot, completion.seq, Some(response), completion.keep_alive);
-                    self.flush(slot);
-                }
-                None => {
-                    // Handler panic: drop the connection — the client
-                    // sees a reset, pipelined siblings die with it, the
-                    // worker survives.
-                    self.close_conn(slot);
-                }
-            }
-        }
+        let body = error_body_raw("overloaded", "wait list is full; retry shortly", 503);
+        Response::json(503, body.to_string_compact())
+            .with_header("Retry-After", SHED_RETRY_AFTER_SECS.to_string())
+            .with_request_id(&id)
     }
 
-    /// Insert a finished response and serialize every response that is
-    /// now next in request order.
-    fn complete(&mut self, slot: usize, seq: u64, response: Option<Response>, keep_alive: bool) {
-        let Some(conn) = self.conns[slot].as_mut() else {
+    /// Run the wait list to completion: handle each request inline,
+    /// encode every response in order, and flush each connection once
+    /// its last entry is done.
+    fn run_waiting(&mut self) {
+        if self.waiting.is_empty() {
+            return;
+        }
+        self.me().busy.store(true, Ordering::Relaxed);
+        while let Some(Pending {
+            token,
+            work,
+            keep_alive,
+        }) = self.waiting.pop_front()
+        {
+            let response = match work {
+                Work::Reply(response) => Some(response),
+                Work::Handle(request) => {
+                    self.queued -= 1;
+                    self.handler
+                        .stats()
+                        .queue_depth
+                        .fetch_sub(1, Ordering::Relaxed);
+                    if self.conn_mut(token).is_none() {
+                        continue; // its connection died earlier in the batch
+                    }
+                    let handler = &self.handler;
+                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        handler.handle(&request)
+                    })) {
+                        Ok(response) => Some(response),
+                        Err(_) => {
+                            handler.stats().panics.fetch_add(1, Ordering::Relaxed);
+                            None
+                        }
+                    }
+                }
+            };
+            match response {
+                // Handler panic: drop the connection — the client sees
+                // a reset, pipelined siblings die with it, the reactor
+                // survives.
+                None => self.close_conn(slot_of(token)),
+                Some(response) => self.encode(token, &response, keep_alive),
+            }
+            if self.waiting.front().map(|next| next.token) != Some(token) {
+                self.flush(token);
+            }
+        }
+        self.me().busy.store(false, Ordering::Relaxed);
+    }
+
+    fn encode(&mut self, token: u64, response: &Response, keep_alive: bool) {
+        let started = Instant::now();
+        let Some(conn) = self.conn_mut(token) else {
             return;
         };
-        if let Some(response) = response {
-            conn.ready.insert(seq, (response, keep_alive));
+        encode_response(&mut conn.outbuf, response, keep_alive);
+        if !keep_alive {
+            conn.no_more_reads = true;
+            conn.close_after_write = true;
         }
-        let started = Instant::now();
-        let mut encoded = false;
-        while let Some((response, keep_alive)) = conn.ready.remove(&conn.next_write) {
-            encode_response(&mut conn.outbuf, &response, keep_alive);
-            conn.next_write += 1;
-            encoded = true;
-            if !keep_alive {
-                conn.no_more_reads = true;
-                conn.close_after_write = true;
-                conn.ready.clear();
-                break;
-            }
-        }
-        if encoded {
-            self.shared
-                .obs
-                .record_stage(Stage::Write, started.elapsed().as_nanos() as u64);
-        }
+        self.handler
+            .obs()
+            .record_stage(Stage::Write, started.elapsed().as_nanos() as u64);
     }
 
     /// Write as much buffered output as the socket takes.
-    fn flush(&mut self, slot: usize) {
-        let mut close = false;
+    fn flush(&mut self, token: u64) {
+        let slot = slot_of(token);
+        let Some(conn) = self.conn_mut(token) else {
+            return;
+        };
         let mut broken = false;
-        {
-            let Some(conn) = self.conns[slot].as_mut() else {
-                return;
-            };
-            while conn.outpos < conn.outbuf.len() {
-                match conn.stream.write(&conn.outbuf[conn.outpos..]) {
-                    Ok(0) => {
-                        broken = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.outpos += n;
-                        conn.last_activity = Instant::now();
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        broken = true;
-                        break;
-                    }
+        while conn.outpos < conn.outbuf.len() {
+            match conn.stream.write(&conn.outbuf[conn.outpos..]) {
+                Ok(0) => {
+                    broken = true;
+                    break;
                 }
-            }
-            if !conn.has_pending_output() {
-                conn.outbuf.clear();
-                conn.outpos = 0;
-                if conn.close_after_write && conn.in_flight == 0 && conn.ready.is_empty() {
-                    close = true;
+                Ok(n) => {
+                    conn.outpos += n;
+                    conn.last_activity = Instant::now();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    broken = true;
+                    break;
                 }
             }
         }
-        if broken || close {
+        if !conn.has_pending_output() {
+            conn.outbuf.clear();
+            conn.outpos = 0;
+            broken |= conn.close_after_write;
+        }
+        if broken {
             self.close_conn(slot);
         } else {
             self.update_interest(slot);
         }
     }
 
-    fn write_ready(&mut self, slot: usize) {
-        self.flush(slot);
-    }
-
+    /// Re-register the connection's interest, skipping the syscall
+    /// when it is unchanged.
     fn update_interest(&mut self, slot: usize) {
-        let Some(conn) = self.conns[slot].as_ref() else {
+        let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        let read = !conn.no_more_reads || !conn.close_after_write;
-        let write = conn.has_pending_output();
+        let interest = (
+            !conn.no_more_reads || !conn.close_after_write,
+            conn.has_pending_output(),
+        );
+        if interest == conn.interest {
+            return;
+        }
+        conn.interest = interest;
         let token = token_of(slot, conn.gen);
-        let fd = conn.stream.as_raw_fd();
-        let _ = self.poller.modify(fd, token, read, write);
+        let _ = self
+            .poller
+            .modify(conn.stream.as_raw_fd(), token, interest.0, interest.1);
     }
 
     /// Close idle connections past the configured read timeout —
-    /// including slow-loris peers parked on a partial request head.
+    /// including slow-loris peers parked on a partial request head. Runs
+    /// at most once per [`SWEEP_INTERVAL`].
     fn sweep_idle(&mut self) {
         let timeout = self.config.read_timeout;
         if timeout.is_zero() {
             return;
         }
+        let now = Instant::now();
+        if now.duration_since(self.last_sweep) < SWEEP_INTERVAL {
+            return;
+        }
+        self.last_sweep = now;
         for slot in 0..self.conns.len() {
-            let expired = match &self.conns[slot] {
-                Some(conn) => {
-                    conn.in_flight == 0
-                        && conn.ready.is_empty()
-                        && !conn.has_pending_output()
-                        && conn.last_activity.elapsed() >= timeout
-                }
-                None => false,
-            };
-            if expired {
+            if matches!(&self.conns[slot], Some(conn)
+                if !conn.has_pending_output() && now.duration_since(conn.last_activity) >= timeout)
+            {
                 self.close_conn(slot);
             }
         }
@@ -997,7 +964,7 @@ impl EventLoop {
         if let Some(conn) = self.conns[slot].take() {
             self.poller.remove(conn.stream.as_raw_fd());
             self.free.push(slot);
-            self.live -= 1;
+            self.me().live.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use std::io::{self, BufRead};
 
-/// Cap on the request line + header block, defending the worker pool
+/// Cap on the request line + header block, defending the serving core
 /// against unbounded header streams.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
@@ -381,7 +381,7 @@ pub fn status_reason(status: u16) -> &'static str {
 }
 
 /// Serialize `response` into `out`, flagging whether the connection
-/// stays open. The event loop appends responses to per-connection
+/// stays open. The serving core appends responses to per-connection
 /// output buffers this way, so head and body leave in one write and
 /// the response is one TCP segment when it fits — two small writes
 /// would hand Nagle's algorithm a reason to stall the body behind a
@@ -408,7 +408,7 @@ pub fn encode_response(out: &mut Vec<u8>, response: &Response, keep_alive: bool)
 }
 
 /// Where one request ends inside a buffer of accumulated connection
-/// bytes — the event loop's incremental framing step. The scanner only
+/// bytes — the serving core's incremental framing step. The scanner only
 /// finds the *boundary* (head terminator + `Content-Length` body); the
 /// framed slice is then handed to [`read_request`] so every semantic
 /// check (smuggling guards, size caps, method rules) has exactly one

@@ -8,10 +8,11 @@
 //!
 //! The server is **std-only**, consistent with the workspace's
 //! offline-shim constraint: no async runtime, no HTTP crate, no serde.
-//! It is **Unix-only**: one event-driven readiness loop (raw `epoll`
-//! on Linux, `poll(2)` on other Unixes) owns every socket, with
-//! HTTP/1.1 pipelining, per-request `503` load-shedding, an idle sweep,
-//! and panic containment. [`serve`] is the single entry point: it runs
+//! It is **Unix-only**: one event-driven reactor per worker thread
+//! (raw `epoll` on Linux, `poll(2)` on other Unixes) owns its
+//! connections' sockets and runs their requests inline, with HTTP/1.1
+//! pipelining, per-request `503` load-shedding, an idle sweep, and
+//! panic containment. [`serve`] is the single entry point: it runs
 //! any [`Handler`] — a replica's [`Router`], or the cluster coordinator
 //! in `lantern-cluster` — on that core. Request and response bodies use
 //! the in-tree JSON value model (`lantern_text::json`) and the stable
@@ -53,7 +54,7 @@
 //! use std::net::TcpListener;
 //!
 //! // Build the router for a config, then serve it on an ephemeral
-//! // port; `serve` returns once the event loop is live.
+//! // port; `serve` returns once the reactors are live.
 //! let config = ServeConfig::default();
 //! let translator = RuleTranslator::new(default_pg_store());
 //! let router = Router::with_parts(translator, RouterParts::default(), &config);

@@ -1,11 +1,13 @@
 //! The serving entry point: [`serve`] runs any [`Handler`] — a
 //! replica's [`Router`](crate::Router) or the cluster coordinator — on
-//! the event-driven core (`src/event.rs`). One readiness-loop thread
-//! owns every socket non-blocking (accept, incremental parse,
-//! pipelining, ordered response writes) and dispatches complete
-//! requests to a bounded worker pool. When the dispatch queue is full,
-//! requests are *shed* with `503` + `Retry-After` instead of queueing
-//! unboundedly. The server is Unix-only.
+//! the event-driven core (`src/event.rs`): one reactor per worker
+//! thread. Each reactor owns its connections' sockets non-blocking
+//! (incremental parse, pipelining, ordered response writes) and runs
+//! their requests to completion on its own thread; the listener sits in
+//! every reactor, and the one that accepts hands the socket to the
+//! least-loaded reactor not inside a handler. A request framed when its
+//! reactor's wait list is full is *shed* with `503` + `Retry-After`
+//! instead of queueing unboundedly. The server is Unix-only.
 
 use crate::http::{Request, Response};
 use lantern_obs::{Recorder, RecorderConfig, Registry};
@@ -22,13 +24,16 @@ use std::time::{Duration, Instant};
 /// binary alike; every field has a CLI flag on `lantern-serve`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads running the handler. `0` means
-    /// `available_parallelism` (min 2, so one slow request can't
-    /// starve the health check on a single-core host).
+    /// Serving threads, one reactor each: a reactor owns the
+    /// connections handed to it and runs their requests inline, so a
+    /// keep-alive connection waits behind its own reactor's current
+    /// request. `0` means `available_parallelism` (min 2, so one slow
+    /// request can't starve the health check on a single-core host).
     pub workers: usize,
-    /// Dispatch-queue slots: framed requests waiting for a worker. A
-    /// request that arrives with every slot taken is shed with `503` +
-    /// `Retry-After`; its connection stays usable.
+    /// Wait-list slots per reactor: framed requests waiting for their
+    /// reactor's handler. A request framed when this many already wait
+    /// is shed with `503` + `Retry-After` in its place in the response
+    /// order; its connection stays usable.
     pub queue_depth: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
@@ -36,8 +41,8 @@ pub struct ServeConfig {
     /// activity for this long is closed. This covers idle keep-alive
     /// peers and slow-loris peers parked on a partial request head.
     pub read_timeout: Duration,
-    /// Open connections the event loop holds at once; arrivals past the
-    /// cap are closed immediately and counted as shed.
+    /// Open connections the reactors hold at once, all together;
+    /// arrivals past the cap are closed immediately and counted as shed.
     pub max_conns: usize,
     /// Record per-stage latency histograms and serve `GET /metrics`.
     /// Off, the recorder is inert (one atomic load per request) and
@@ -77,6 +82,7 @@ impl ServeConfig {
         (Arc::new(ServeStats::new()), Arc::new(recorder))
     }
 
+    /// The reactor count: `workers`, or one per core (min 2) for `0`.
     pub(crate) fn effective_workers(&self) -> usize {
         if self.workers > 0 {
             return self.workers;
@@ -89,10 +95,12 @@ impl ServeConfig {
 }
 
 /// What the serving core runs: one parsed request in, one response
-/// out, on a worker thread. The accessors expose the counters and the
-/// recorder the handler was built around. The core adds what only it
-/// can see to them: connections, shedding, pipelining, panics, queue
-/// depth, and the socket `read`/`write` stages.
+/// out, inline on the reactor thread that owns the connection — so a
+/// slow `handle` delays the other connections on that reactor. The
+/// accessors expose the counters and the recorder the handler was
+/// built around. The core adds what only it can see to them:
+/// connections, shedding, pipelining, panics, queue depth, and the
+/// socket `read`/`write` stages.
 pub trait Handler: Send + Sync + 'static {
     /// Answer one request.
     fn handle(&self, req: &Request) -> Response;
@@ -146,18 +154,18 @@ pub struct ServeStats {
     pub not_found: AtomicU64,
     /// Responses with status ≥ 400, protocol errors included.
     pub error_responses: AtomicU64,
-    /// Handler panics contained by the worker pool (each cost one
-    /// connection, never a worker).
+    /// Handler panics contained by the serving core (each cost one
+    /// connection, never a reactor).
     pub panics: AtomicU64,
-    /// Requests refused by admission control: `503`s answered when the
-    /// dispatch queue was full, plus connections closed at the
+    /// Requests refused by admission control: `503`s answered when a
+    /// reactor's wait list was full, plus connections closed at the
     /// `max_conns` cap.
     pub shed_requests: AtomicU64,
     /// Requests that arrived pipelined — read off a connection before
     /// the response to an earlier request on it was written.
     pub pipelined_requests: AtomicU64,
-    /// Gauge: requests sitting in the dispatch queue, accepted but not
-    /// yet picked up by a worker.
+    /// Gauge: framed requests waiting for their reactor's handler,
+    /// summed over the reactors.
     pub queue_depth: AtomicU64,
     /// Gauge: requests currently being handled (incremented on entry to
     /// the handler, decremented when it returns — so a `/stats`
@@ -360,10 +368,10 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     stats: Arc<ServeStats>,
-    /// The event thread first, then the workers; empty once joined.
+    /// The reactor threads; empty once joined.
     threads: Vec<JoinHandle<()>>,
-    /// Wakes the readiness loop so it observes the shutdown flag
-    /// without waiting out a poll timeout.
+    /// Wakes every reactor so it observes the shutdown flag without
+    /// waiting out a poll timeout.
     waker: Arc<dyn Fn() + Send + Sync>,
 }
 
@@ -388,7 +396,7 @@ impl ServerHandle {
         self.stats.snapshot()
     }
 
-    /// Graceful shutdown: stop accepting, finish in-flight requests,
+    /// Graceful shutdown: stop accepting, finish running requests,
     /// flush buffered responses, join every thread.
     pub fn shutdown(mut self) -> io::Result<()> {
         self.shutdown_inner()
@@ -400,8 +408,6 @@ impl ServerHandle {
         }
         self.shutdown.store(true, Ordering::SeqCst);
         (self.waker)();
-        // The event thread exits first and drops the dispatch queue's
-        // sender; workers drain what is queued, then stop.
         for thread in self.threads.drain(..) {
             thread
                 .join()
@@ -419,11 +425,11 @@ impl Drop for ServerHandle {
 
 /// Serve `handler` on `listener` until the returned handle shuts down.
 ///
-/// Returns once the event thread and the worker pool are up; the
-/// [`ServerHandle`] owns every spawned thread. Bind `"127.0.0.1:0"` for
-/// an ephemeral port (read it back with [`ServerHandle::addr`]), or
-/// bind through [`reusable_listener`] to come back on the port a
-/// previous server just vacated.
+/// Returns once the reactors are up; the [`ServerHandle`] owns every
+/// spawned thread. Bind `"127.0.0.1:0"` for an ephemeral port (read it
+/// back with [`ServerHandle::addr`]), or bind through
+/// [`reusable_listener`] to come back on the port a previous server
+/// just vacated.
 pub fn serve<H: Handler>(
     handler: H,
     listener: TcpListener,
@@ -638,7 +644,7 @@ mod tests {
             }
         }
 
-        // One worker: if the panic killed it, nothing could ever answer
+        // One reactor: if the panic killed it, nothing could ever answer
         // again.
         let config = ServeConfig {
             workers: 1,

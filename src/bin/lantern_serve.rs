@@ -39,11 +39,14 @@ OPTIONS:
     --style <NAME>        numbered | bulleted | paragraph
                           [default: numbered]
     --paraphrase          Enable the paraphrase output layer
-    --workers <N>         Worker threads (0 = one per core) [default: 0]
-    --max-conns <N>       Open connections the event loop holds at once;
+    --workers <N>         Serving threads, one reactor each: it owns its
+                          connections and runs their requests inline
+                          (0 = one per core, min 2) [default: 0]
+    --max-conns <N>       Open connections the server holds at once;
                           arrivals past the cap are closed [default: 4096]
-    --queue-cap <N>       Dispatch-queue slots; requests arriving with the
-                          queue full are shed with 503 + Retry-After
+    --queue-cap <N>       Requests that may wait in one serving thread;
+                          a request framed with that many already
+                          waiting is shed with 503 + Retry-After
                           [default: 64]
     --no-cache            Disable the plan-fingerprint narration cache
                           (on by default: repeated plans answer from a
@@ -81,8 +84,8 @@ CLUSTER OPTIONS (coordinator fronting N running replicas):
                           (at least one required)
     --vnodes <N>          Virtual nodes per replica on the hash ring
                           [default: 64]
-    --workers <N>         Coordinator worker threads (0 = one per core)
-                          [default: 0]
+    --workers <N>         Coordinator serving threads, one reactor each
+                          (0 = one per core, min 2) [default: 0]
     --connect-timeout-ms <N>
                           TCP connect bound per forwarding attempt
                           [default: 500]

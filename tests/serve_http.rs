@@ -584,11 +584,13 @@ mod event_core {
         LanternError, NarrationRequest, NarrationResponse, RuleTranslator, Translator,
     };
     use lantern::prelude::*;
-    use lantern::serve::{serve, Router, RouterParts};
+    use lantern::serve::{serve, HttpClient, Router, RouterParts};
     use lantern::text::json::JsonValue;
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
-    use std::time::Duration;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::Mutex;
+    use std::time::{Duration, Instant};
 
     fn pg_doc(relation: &str) -> String {
         format!(r#"{{"Plan": {{"Node Type": "Seq Scan", "Relation Name": "{relation}"}}}}"#)
@@ -656,6 +658,146 @@ mod event_core {
             assert_eq!(status, 200, "stalled behind a slow-loris: {text}");
         }
         drop(loris);
+        server.shutdown().unwrap();
+    }
+
+    /// A translator that takes `ms` milliseconds per narration and
+    /// reports each narration's start on `started`.
+    struct Sleepy {
+        ms: u64,
+        inner: RuleTranslator,
+        started: Mutex<Sender<()>>,
+    }
+
+    impl Translator for Sleepy {
+        fn backend(&self) -> &str {
+            "sleepy"
+        }
+        fn narrate(&self, req: &NarrationRequest) -> Result<NarrationResponse, LanternError> {
+            let _ = self.started.lock().unwrap().send(());
+            std::thread::sleep(Duration::from_millis(self.ms));
+            self.inner.narrate(req)
+        }
+    }
+
+    fn boot_sleepy(ms: u64, workers: usize) -> (lantern::serve::ServerHandle, Receiver<()>) {
+        let config = ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        };
+        let (started, narrating) = channel();
+        let translator = Sleepy {
+            ms,
+            inner: RuleTranslator::new(lantern::pool::default_pg_store()),
+            started: Mutex::new(started),
+        };
+        let router = Router::with_parts(translator, RouterParts::default(), &config);
+        let server = serve(router, TcpListener::bind("127.0.0.1:0").unwrap(), config).unwrap();
+        (server, narrating)
+    }
+
+    /// A fresh connection is answered at once while another
+    /// connection's slow request runs: a serving thread busy inside a
+    /// handler does not take new connections.
+    #[test]
+    fn fresh_connection_is_served_while_another_request_runs() {
+        let (server, narrating) = boot_sleepy(200, 2);
+        let mut a = HttpClient::connect(server.addr()).unwrap();
+        a.send("POST", "/narrate", Some(&pg_doc("slow_a"))).unwrap();
+        narrating.recv().unwrap(); // A's request is inside its handler
+
+        let started = Instant::now();
+        let mut b = HttpClient::connect(server.addr()).unwrap();
+        assert_eq!(b.get("/healthz").unwrap().status, 200);
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_millis(100),
+            "B waited {waited:?} behind A's request"
+        );
+
+        assert_eq!(a.read_response().unwrap().status, 200);
+        drop((a, b));
+        server.shutdown().unwrap();
+    }
+
+    /// Two keep-alive connections opened back to back run their slow
+    /// requests side by side, not one after the other.
+    #[test]
+    fn back_to_back_connections_run_in_parallel() {
+        let (server, _narrating) = boot_sleepy(100, 2);
+        let mut a = HttpClient::connect(server.addr()).unwrap();
+        let mut b = HttpClient::connect(server.addr()).unwrap();
+
+        let started = Instant::now();
+        a.send("POST", "/narrate", Some(&pg_doc("pair_a"))).unwrap();
+        b.send("POST", "/narrate", Some(&pg_doc("pair_b"))).unwrap();
+        assert_eq!(a.read_response().unwrap().status, 200);
+        assert_eq!(b.read_response().unwrap().status, 200);
+        let pair = started.elapsed();
+
+        let started = Instant::now();
+        assert_eq!(a.post("/narrate", &pg_doc("single")).unwrap().status, 200);
+        let single = started.elapsed();
+        assert!(
+            pair.as_secs_f64() < 1.6 * single.as_secs_f64(),
+            "two requests took {pair:?} against {single:?} for one"
+        );
+        drop((a, b));
+        server.shutdown().unwrap();
+    }
+
+    /// Garbage on one connection costs that connection only: another
+    /// connection on the same (single) serving thread keeps its
+    /// pipelined request and its keep-alive.
+    #[test]
+    fn garbage_on_one_connection_leaves_its_neighbour_alone() {
+        let server = LanternBuilder::new()
+            .build()
+            .unwrap()
+            .serve(
+                TcpListener::bind("127.0.0.1:0").unwrap(),
+                ServeConfig {
+                    workers: 1,
+                    ..ServeConfig::default()
+                },
+            )
+            .unwrap();
+        let addr = server.addr();
+        let mut good = HttpClient::connect(addr).unwrap();
+        assert_eq!(good.get("/healthz").unwrap().status, 200);
+
+        let garbage: [&[u8]; 4] = [
+            b"\x00\xff\xfe garbage \r\n\r\n",
+            b"POST /narrate HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+            b"POST /narrate HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd",
+            b"GET /healthz HTTP/9\r\n\r\n",
+        ];
+        for bytes in garbage {
+            // The good connection has a request in flight while the
+            // bad one arrives.
+            good.send("POST", "/narrate", Some(&pg_doc("neighbour")))
+                .unwrap();
+            let mut bad = TcpStream::connect(addr).unwrap();
+            bad.write_all(bytes).unwrap();
+            let mut reply = Vec::new();
+            let _ = bad.read_to_end(&mut reply);
+            let reply = String::from_utf8_lossy(&reply);
+            assert!(
+                reply.is_empty() || reply.starts_with("HTTP/1.1 4"),
+                "{reply}"
+            );
+
+            let resp = good.read_response().unwrap();
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            assert!(resp.body.contains("neighbour"), "{}", resp.body);
+        }
+        assert_eq!(good.get("/healthz").unwrap().status, 200);
+        assert_eq!(
+            server.stats().connections,
+            5,
+            "the good connection was kept"
+        );
+        drop(good);
         server.shutdown().unwrap();
     }
 
